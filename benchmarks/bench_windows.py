@@ -1,83 +1,210 @@
-"""Compare the compiled window-sum kernel against the pure-NumPy fallback.
+"""Time the window-sum kernel and record before/after figures.
 
-Run:  python benchmarks/bench_windows.py
-The fallback is forced in a subprocess via CHARGELAB_PURE=1 so both variants
-are timed in a fresh interpreter.  The kernel takes per-axis half-open index
-ranges and evaluates the full cartesian product of windows, so the workload
-per case is roughly `queries` window sums.
+Run from the repository root:
+
+    python benchmarks/bench_windows.py                      # print kernel rows
+    python benchmarks/bench_windows.py --label after \
+        --lkbench .lkbench_out/box-hsup-seed1-trace0.json ...
+
+The kernel is `chargelab.windows.box_window_sums`.  It takes per-axis
+half-open index ranges and evaluates the full cartesian product of windows,
+so a case costs roughly `queries` window sums.  The cases are four random
+batches (d = 1..4) and the all-centers shape of lkbench's `box-hsup`
+workload (d = 3, 64^3 cells, one window per cell center).  Sampled windows
+of every case are checked against `box_window_sum_direct`.
+
+With --label the rows are stored in BENCH_windows.json under that label,
+next to the Python, NumPy and SciPy versions and the processor count.
+--src times another checkout's sources (say, the parent commit's `src`).
+--lkbench adds lkbench result files (`lkbench/run.py` leaves them as
+.lkbench_out/<workload>-seed<seed>-trace<0|1>.json) under the same label;
+once both labels hold runs of one workload and seed, the file also gets a
+comparison: per metric, the median and quartiles of each side and how many
+seed pairs the "after" side wins.
 """
 
+from __future__ import annotations
+
+import argparse
 import json
 import os
-import subprocess
+import platform
+import re
+import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILE = ROOT / "BENCH_windows.json"
+# d, cells per axis, target query count (random batches)
+RANDOM_CASES = [(1, 1 << 18, 200_000), (2, 1024, 250_000),
+                (3, 128, 250_000), (4, 32, 200_000)]
+# box-hsup: d = 3, 64 cells per axis, a window of +-16 cells at every center
+ALL_CENTERS = (3, 64, 16)
+REPEATS = 15  # timed calls per case (50x that for the single query)
+LKBENCH_NAME = re.compile(r"(?P<workload>[\w-]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 
-def run_case(d, n, queries, repeats=5):
-    from chargelab import windows
 
-    rng = np.random.default_rng(0)
-    values = rng.random((n,) * d)
-    prefix = windows.build_prefix(values)
+def random_case(rng, d, n, queries):
     q_axis = max(2, round(queries ** (1.0 / d)))
     i0s = [rng.integers(0, n // 2, size=q_axis) for _ in range(d)]
     i1s = [a + rng.integers(1, n // 2, size=q_axis) for a in i0s]
-    # warm up + correctness anchor against direct slicing
+    return i0s, i1s
+
+
+def all_centers_case(n, r, d):
+    c = np.arange(n)
+    return [np.clip(c - r, 0, n)] * d, [np.clip(c + r + 1, 0, n)] * d
+
+
+def time_case(windows, label, values, i0s, i1s, rng, repeats):
+    prefix = windows.build_prefix(values)
     out = windows.box_window_sums(prefix, i0s, i1s)
+    # errors grow with the largest prefix entry, the total of the values
+    tol = 1e-12 * max(1.0, float(np.abs(values).sum()))
     for _ in range(20):
-        idx = tuple(rng.integers(0, q_axis) for _ in range(d))
-        a = [i0s[k][idx[k]] for k in range(d)]
-        b = [i1s[k][idx[k]] for k in range(d)]
+        idx = tuple(int(rng.integers(0, len(a))) for a in i0s)
+        a = [i0s[k][idx[k]] for k in range(values.ndim)]
+        b = [i1s[k][idx[k]] for k in range(values.ndim)]
         ref = windows.box_window_sum_direct(values, a, b)
-        assert abs(out[idx] - ref) <= 1e-10 * values.size
-    best = min(_time_once(windows, prefix, i0s, i1s) for _ in range(repeats))
-    return {"kernel": windows.KERNEL, "d": d, "n": n,
-            "queries": q_axis**d, "best_seconds": best}
+        if abs(out[idx] - ref) > tol:
+            raise SystemExit(f"{label}: window {idx} gives {out[idx]!r}, "
+                             f"direct slicing {ref!r}")
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        windows.box_window_sums(prefix, i0s, i1s)
+        times.append(time.perf_counter() - t0)
+    queries = int(np.prod([len(a) for a in i0s]))
+    med = statistics.median(times)
+    return {"case": label, "d": values.ndim, "n": values.shape[0],
+            "queries": queries, "repeats": repeats,
+            "best_ms": 1e3 * min(times), "median_ms": 1e3 * med,
+            "ns_per_query": 1e9 * med / queries}
 
 
-def _time_once(windows, prefix, i0s, i1s):
-    t0 = time.perf_counter()
-    windows.box_window_sums(prefix, i0s, i1s)
-    return time.perf_counter() - t0
+def kernel_rows(windows):
+    rng = np.random.default_rng(0)
+    rows = []
+    for d, n, queries in RANDOM_CASES:
+        values = rng.random((n,) * d)
+        i0s, i1s = random_case(rng, d, n, queries)
+        rows.append(time_case(windows, f"random d={d} n={n}", values,
+                              i0s, i1s, rng, REPEATS))
+    d, n, r = ALL_CENTERS
+    values = rng.random((n,) * d)
+    i0s, i1s = all_centers_case(n, r, d)
+    rows.append(time_case(windows, f"all centers d={d} n={n}", values,
+                          i0s, i1s, rng, REPEATS))
+    # one window per call, the per-call overhead of the CLI's small grids
+    i0s, i1s = [np.array([3])] * d, [np.array([40])] * d
+    rows.append(time_case(windows, f"single query d={d} n={n}", values,
+                          i0s, i1s, rng, 50 * REPEATS))
+    return rows
 
 
-def main():
-    if len(sys.argv) > 1 and sys.argv[1] == "--single":
-        rows = [run_case(1, 1 << 18, 200_000),
-                run_case(2, 1024, 250_000),
-                run_case(3, 128, 250_000),
-                run_case(4, 32, 200_000)]
-        print(json.dumps(rows))
-        return
-    results = {}
-    for pure in (False, True):
-        env = dict(os.environ)
-        env.pop("CHARGELAB_PURE", None)
-        if pure:
-            env["CHARGELAB_PURE"] = "1"
-        out = subprocess.run(
-            [sys.executable, __file__, "--single"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        rows = json.loads(out.stdout.strip().splitlines()[-1])
-        results[rows[0]["kernel"]] = rows
-    kernels = sorted(results)
-    print(f"{'case':>16} " + " ".join(f"{k:>12}" for k in kernels) + "   speedup")
-    for i, row in enumerate(results[kernels[0]]):
-        label = f"d={row['d']} n={row['n']}"
-        times = [results[k][i]["best_seconds"] for k in kernels]
-        cy = results.get("cython", [None] * 4)[i]
-        pu = results.get("pure", [None] * 4)[i]
-        cells = " ".join(f"{t * 1e3:>10.3f}ms" for t in times)
-        if cy and pu:
-            speed = f"{pu['best_seconds'] / cy['best_seconds']:7.2f}x"
-        else:
-            speed = "    n/a"
-        print(f"{label:>16} {cells} {speed}")
+def environment():
+    import scipy
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "nproc": os.cpu_count(),
+            "machine": platform.machine()}
+
+
+def _quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def compare(lk):
+    """Per workload, trace level and metric: both sides' quartiles and
+    median, and the number of seed pairs in which "after" reads lower."""
+    out = {}
+    before, after = lk.get("before", []), lk.get("after", [])
+    keys = sorted({(r["workload"], r["trace"]) for r in before}
+                  & {(r["workload"], r["trace"]) for r in after})
+    for workload, trace in keys:
+        b = {r["seed"]: r for r in before
+             if (r["workload"], r["trace"]) == (workload, trace)}
+        a = {r["seed"]: r for r in after
+             if (r["workload"], r["trace"]) == (workload, trace)}
+        seeds = sorted(set(a) & set(b))
+        metrics = {}
+        for m in b[seeds[0]]["metrics"]:
+            bv = [b[s]["metrics"][m] for s in seeds]
+            av = [a[s]["metrics"][m] for s in seeds]
+            bq, aq = _quartiles(bv), _quartiles(av)
+            metrics[m] = {
+                "unit": lk["units"][m],
+                "before_q1_median_q3": bq, "after_q1_median_q3": aq,
+                "after_wins": sum(x < y for x, y in zip(av, bv)),
+                "ties": sum(x == y for x, y in zip(av, bv)),
+                "pairs": len(seeds),
+                "median_change": (aq[1] - bq[1]) / bq[1] if bq[1] else None,
+            }
+        out[f"{workload} trace={trace}"] = {"seeds": seeds, "metrics": metrics}
+    return out
+
+
+def read_lkbench(paths, units):
+    """Runs from lkbench result files; fills `units` (metric -> unit)."""
+    runs = []
+    for p in map(Path, paths):
+        m = LKBENCH_NAME.search(p.name)
+        if not m:
+            raise SystemExit(f"{p}: not an lkbench result file name")
+        res = json.loads(p.read_text())
+        if not res["correct"] or res["failed"]:
+            raise SystemExit(f"{p}: run had failed or incorrect operations")
+        runs.append({"workload": m["workload"], "seed": int(m["seed"]),
+                     "trace": int(m["trace"]), "attempted": res["attempted"],
+                     "failed": res["failed"], "kernel": res["versions"]["kernel"],
+                     "metrics": {k: v["value"] for k, v in res["metrics"].items()}})
+        units.update((k, v["unit"]) for k, v in res["metrics"].items())
+    return runs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="directory holding the chargelab package to time")
+    ap.add_argument("--label", choices=("before", "after"), default=None,
+                    help="store the figures in BENCH_windows.json under this label")
+    ap.add_argument("--lkbench", nargs="*", default=[],
+                    help="lkbench result files to store under --label")
+    args = ap.parse_args(argv)
+    if args.lkbench and not args.label:
+        ap.error("--lkbench needs --label")
+
+    sys.path.insert(0, args.src)
+    from chargelab import windows
+
+    rows = kernel_rows(windows)
+    for row in rows:
+        print(json.dumps(row))
+    if not args.label:
+        return 0
+    bench = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else {}
+    bench.setdefault("environment", {})[args.label] = environment()
+    kernel = bench.setdefault("kernel", {})
+    kernel[args.label] = {"engine": windows.KERNEL, "rows": rows}
+    if "before" in kernel and "after" in kernel:
+        kernel["median_speedup"] = {
+            b["case"]: b["median_ms"] / a["median_ms"]
+            for b, a in zip(kernel["before"]["rows"], kernel["after"]["rows"])}
+    if args.lkbench:
+        lk = bench.setdefault("lkbench", {})
+        lk[args.label] = read_lkbench(args.lkbench, lk.setdefault("units", {}))
+        lk["comparison"] = compare(lk)
+    BENCH_FILE.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {BENCH_FILE}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

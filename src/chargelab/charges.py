@@ -25,7 +25,6 @@ __all__ = [
     "WindowValue",
     "SeminormResult",
     "SeminormKResult",
-    "charge_of_window",
     "seminorm_Kh",
     "seminorm_K",
     "extremal_density",
@@ -125,12 +124,14 @@ class Charge:
 
     # -- window geometry ---------------------------------------------------
 
-    def _box_bounds(self, y: np.ndarray, h: float):
-        """Per-axis open interval of the window y + hK∩C for box/orthant."""
-        m = self.cone.m
-        lo = np.where(np.arange(self.cone.d) < m, y, y - h)
-        hi = y + h
-        return lo, hi
+    def _window_bounds(self, K: ConvexBody, y: np.ndarray, h: float):
+        """Per-axis bounds of the window y + hK∩C: exact for a box body with
+        an orthant cone, the bounding box of y + hK otherwise."""
+        r = h * K.bounding_radii()
+        lo = y - r
+        if self.cone.kind == "orthant":
+            lo = np.where(np.arange(self.cone.d) < self.cone.m, y, lo)
+        return lo, y + r
 
     def _fast_path(self, K: ConvexBody) -> bool:
         return K.is_box and self.cone.kind == "orthant"
@@ -164,7 +165,7 @@ class Charge:
         if method in ("prefix", "direct"):
             if not self._fast_path(K):
                 raise GeometryError("prefix/direct paths need box body + orthant cone")
-            wlo, whi = self._box_bounds(y, h)
+            wlo, whi = self._window_bounds(K, y, h)
             i0s, i1s = [], []
             for axis in range(g.d):
                 i0, i1 = windows.index_range(
@@ -184,7 +185,7 @@ class Charge:
             # of the strict-center paths
             if not self._fast_path(K):
                 raise GeometryError("overlap path needs box body + orthant cone")
-            wlo, whi = self._box_bounds(y, h)
+            wlo, whi = self._window_bounds(K, y, h)
             sub = self.density.values
             wvecs = []
             for axis in range(g.d):
@@ -207,10 +208,7 @@ class Charge:
                 inside = (K.gauge_many(u) < h) & self.cone.member_many(u)
                 if inside.any():
                     total += float(flat[sl][inside].sum())
-            r = h * K.bounding_radii()
-            wlo, whi = y - r, y + r
-            if self.cone.kind == "orthant":
-                wlo = np.where(np.arange(self.cone.d) < self.cone.m, y, wlo)
+            wlo, whi = self._window_bounds(K, y, h)
             return WindowValue(total * g.cell_volume, self._truncation_flag(wlo, whi))
         raise GeometryError(f"unknown window method {method!r}")
 
@@ -231,12 +229,6 @@ class Charge:
             i0s.append(i0)
             i1s.append(i1)
         return windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
-
-
-def charge_of_window(nu: Charge, y, K: ConvexBody, h: float,
-                     method: str = "auto") -> float:
-    """Convenience wrapper returning just the window value."""
-    return nu.window_value(K, y, h, method).value
 
 
 def seminorm_Kh(nu: Charge, K: ConvexBody, h: float,
@@ -260,6 +252,7 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float,
         i = int(np.argmax(np.abs(S)))
         best = float(abs(S.reshape(-1)[i]))
         arg = g.flat_to_point(i)
+        truncated = nu._truncation_flag(*nu._window_bounds(K, arg, h))
     else:
         if g.size > 1 << 16:
             raise GeometryError(
@@ -267,15 +260,13 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float,
             )
         for _, pts in g.iter_center_chunks():
             for y in pts:
-                v = abs(nu.window_value(K, y, h).value)
-                if v > best:
-                    best, arg = v, y
+                wv = nu.window_value(K, y, h)
+                if abs(wv.value) > best:
+                    best, arg, truncated = abs(wv.value), y, wv.truncated
     for y in candidates:
         wv = nu.window_value(K, y, h)
         if abs(wv.value) > best:
-            best, arg = abs(wv.value), y
-    if arg is not None:
-        truncated = nu.window_value(K, np.asarray(arg, dtype=float), h).truncated
+            best, arg, truncated = abs(wv.value), y, wv.truncated
     return SeminormResult(best, np.asarray(arg, dtype=float), truncated)
 
 

@@ -89,6 +89,10 @@ def _zero_field(grid: GridSpec) -> GridField:
 
 EQUALITY_CASES = {"extremal-charge", "nagy-extremal", "mixed-m0", "mixed-m1",
                   "zero"}
+# cases whose additive bound needs the window value at every grid center
+# (steklov.deviation_sup), which only the box/orthant prefix path computes
+WINDOW_CASES = {"extremal-charge", "gaussian-charge", "zero",
+                "corrupted-extremal"}
 
 
 def _verify_reports(cfg: dict):
@@ -97,6 +101,9 @@ def _verify_reports(cfg: dict):
     hs = cfg["h"] if isinstance(cfg["h"], list) else [cfg["h"]]
     K = body_from_config(d, cfg["body"])
     C = cone_from_config(d, cfg["cone"]) if cfg["cone"] else Cone.orthant(d, m)
+    if case in WINDOW_CASES and not (K.is_box and C.kind == "orthant"):
+        raise ConfigError(f"verify case {case!r}: batched window values need "
+                          "box body + orthant cone")
     reports = []
     for h in hs:
         h = float(h)

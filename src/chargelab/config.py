@@ -9,13 +9,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .geometry import ConvexBody, Cone, GeometryError
 
 __all__ = ["ConfigError", "load_config", "validate", "SCHEMAS",
-           "body_from_config", "cone_from_config", "density_from_csv"]
+           "body_from_config", "cone_from_config"]
 
 
 class ConfigError(ValueError):
@@ -34,7 +33,6 @@ SCHEMAS = {
         "seed": (int, 0),
         "body": (dict, None),
         "cone": (dict, None),
-        "density": (dict, None),
     },
     "stechkin-curve": {
         "setting": (str, "charge"),
@@ -133,23 +131,3 @@ def cone_from_config(d: int, spec: dict | None) -> Cone:
         return Cone.halfspaces(spec["normals"])
     raise ConfigError(f"unknown cone kind {kind!r}")
 
-
-def density_from_csv(grid, path) -> np.ndarray:
-    """Read (cell index..., value) rows into a value array on the grid."""
-    values = np.zeros(grid.shape)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != grid.d + 1:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {grid.d} indices + value"
-                )
-            try:
-                idx = tuple(int(p) for p in parts[:-1])
-                values[idx] = float(parts[-1])
-            except (ValueError, IndexError) as e:
-                raise ConfigError(f"{path}:{lineno}: {e}") from e
-    return values

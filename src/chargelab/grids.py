@@ -20,9 +20,6 @@ __all__ = ["GridSpec", "GridField", "SupResult"]
 
 PointFn = Callable[[np.ndarray], np.ndarray]
 
-# slab size used when sampling callbacks over large grids
-_CHUNK = 1 << 18
-
 
 @dataclass(frozen=True)
 class GridSpec:

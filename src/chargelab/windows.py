@@ -1,31 +1,18 @@
-"""Front end of the window-sum engine.
+"""The window-sum engine.
 
-Builds zero-padded prefix (summed-area) tables and answers axis-aligned
-window queries in O(2^d) table lookups.  The batched corner-sum loop is the
-hot kernel: a compiled Cython implementation is used when available, with a
-pure-NumPy fallback selected at import time.  Set CHARGELAB_PURE=1 to force
-the fallback (used by the benchmark to compare both).
+Builds zero-padded prefix (summed-area) tables and answers batches of
+axis-aligned window queries from them.  Inclusion-exclusion over a cartesian
+product of per-axis windows factorises by axis, so a batch costs one
+difference pass per axis over the table instead of 2^d corner lookups per
+window.  Direct slicing of the values is kept as the oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _winpure
-
-if os.environ.get("CHARGELAB_PURE"):
-    _impl = _winpure
-    KERNEL = "pure"
-else:
-    try:
-        from . import _winkernel as _impl
-
-        KERNEL = "cython"
-    except ImportError:
-        _impl = _winpure
-        KERNEL = "pure"
+# name of the window-sum engine, reported as provenance
+KERNEL = "separable"
 
 __all__ = ["KERNEL", "build_prefix", "index_range", "box_window_sums",
            "box_window_sum_direct"]
@@ -103,8 +90,18 @@ def overlap_weights(lo: float, delta: float, n: int, a: float, b: float):
 
 
 def box_window_sums(prefix: np.ndarray, i0s, i1s) -> np.ndarray:
-    """Batched corner sums; dispatches to the selected kernel."""
-    return _impl.box_window_sums(prefix, i0s, i1s)
+    """Window sums from a zero-padded prefix table.
+
+    prefix has shape (n_1+1, ..., n_d+1) with prefix[j] the sum of values
+    over cells < j in every axis (see build_prefix).  i0s/i1s hold, per axis,
+    int arrays giving each query's half-open cell index range [i0, i1) along
+    that axis.  Returns one sum per combination of per-axis queries, with
+    shape tuple(len(a) for a in i0s).
+    """
+    out = prefix
+    for axis, (i0, i1) in enumerate(zip(i0s, i1s)):
+        out = np.take(out, i1, axis=axis) - np.take(out, i0, axis=axis)
+    return out
 
 
 def box_window_sum_direct(values: np.ndarray, i0s, i1s) -> float:

@@ -108,6 +108,19 @@ class TestWindowValue:
         big = nu.window_value(K, np.array([0.0]), 5.0)
         assert big.truncated
 
+    @pytest.mark.parametrize("body", ["box", "ball"])
+    @pytest.mark.parametrize("h_win,escapes", [(0.3, False), (3.0, True)])
+    def test_seminorm_truncation_is_the_winners(self, body, h_win, escapes):
+        # the box runs the prefix path, the 2-ball the mask path; a window of
+        # radius 3 about any center leaves the grid [-1.25, 1.25]^2
+        K = ConvexBody.box(2) if body == "box" else ConvexBody.pball(2, 2.0)
+        C = Cone.orthant(2, 0)
+        grid = GridSpec.for_cone(2, 0, 1.0, 16, margin=0.25)
+        nu = extremal_charge(K, C, 1.0, grid)
+        res = seminorm_Kh(nu, K, h_win)
+        assert res.truncated == escapes
+        assert res.truncated == nu.window_value(K, res.argmax, h_win).truncated
+
     def test_window_values_all_matches_pointwise(self):
         K, C, grid = box_setting(2, 1, 0.8, 48)
         nu = extremal_charge(K, C, 0.8, grid)

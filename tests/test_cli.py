@@ -78,6 +78,22 @@ class TestVerifyCommand:
         cfg.write_text("case: zero\nbogus_key: 1\n")
         assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("limit", [
+        "body: {kind: pball, p: 2}\n",
+        "cone: {kind: halfspaces, normals: [[1, 0], [0, 1]]}\n",
+    ])
+    def test_non_box_window_case_exit_2(self, tmp_path, capsys, limit):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("case: extremal-charge\nd: 2\ngrid: 32\n" + limit)
+        assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
+        assert "box body + orthant cone" in capsys.readouterr().err
+
+    def test_density_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("case: zero\ndensity: {path: does-not-exist.csv}\n")
+        assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
+        assert "density" in capsys.readouterr().err
+
     def test_config_file_drives_case(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("case: mixed-m1\nd: 2\nh: 1.0\ngrid: 48\n")

@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargelab import windows
-from chargelab._winpure import box_window_sums as pure_sums
 
 
 def random_case(rng, d, n, q):
@@ -13,6 +14,17 @@ def random_case(rng, d, n, q):
     i0s = [rng.integers(0, n, size=q) for _ in range(d)]
     i1s = [np.minimum(a + rng.integers(0, n, size=q), n) for a in i0s]
     return values, prefix, i0s, i1s
+
+
+def corner_sums(prefix, i0s, i1s):
+    """Reference: inclusion-exclusion over the 2^d corners of each window."""
+    d = prefix.ndim
+    out = np.zeros(tuple(len(a) for a in i0s))
+    for corner in itertools.product((0, 1), repeat=d):
+        sign = -1.0 if (d - sum(corner)) % 2 else 1.0
+        idx = [i1s[k] if corner[k] else i0s[k] for k in range(d)]
+        out += sign * prefix[np.ix_(*idx)]
+    return out
 
 
 class TestPrefixTable:
@@ -44,15 +56,25 @@ class TestPrefixTable:
 
     @given(st.integers(0, 1_000_000))
     @settings(max_examples=30, deadline=None)
-    def test_compiled_and_pure_agree(self, seed):
+    def test_matches_corner_sum_reference(self, seed):
         rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 4))
-        values, prefix, i0s, i1s = random_case(rng, d, 16, 5)
-        np.testing.assert_allclose(
-            windows.box_window_sums(prefix, i0s, i1s),
-            pure_sums(prefix, i0s, i1s),
-            rtol=0, atol=1e-12,
-        )
+        d = int(rng.integers(1, 5))
+        n = 16
+        # values on a 2^-20 lattice: every prefix entry, corner sum and axis
+        # difference is exact in float64 (|sum| <= 16^4 needs 37 bits), so
+        # the two summation orders must agree to the last bit; rounding of
+        # full-precision data is covered against direct slicing above
+        values = rng.integers(0, 1 << 20, size=(n,) * d) / float(1 << 20)
+        prefix = windows.build_prefix(values)
+        i0s = [rng.integers(0, n + 1, size=int(rng.integers(1, 6)))
+               for _ in range(d)]
+        i1s = [np.minimum(a + rng.integers(0, n, size=len(a)), n) for a in i0s]
+        for i0, i1 in zip(i0s, i1s):
+            i1[0] = i0[0]  # an empty window on every axis
+        out = windows.box_window_sums(prefix, i0s, i1s)
+        assert out.shape == tuple(len(a) for a in i0s)
+        np.testing.assert_allclose(out, corner_sums(prefix, i0s, i1s),
+                                   rtol=0, atol=1e-12)
 
 
 class TestIndexRange:
@@ -101,4 +123,4 @@ class TestIndexRange:
 
 
 def test_kernel_name_reported():
-    assert windows.KERNEL in ("cython", "pure")
+    assert windows.KERNEL == "separable"
