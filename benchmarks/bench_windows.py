@@ -1,20 +1,28 @@
-"""Time the window-sum kernel and record before/after figures.
+"""Time the window kernels and record before/after figures.
 
 Run from the repository root:
 
-    python benchmarks/bench_windows.py                      # print kernel rows
+    python benchmarks/bench_windows.py                      # print the rows
     python benchmarks/bench_windows.py --label after \
+        --out BENCH_correlation.json \
         --lkbench .lkbench_out/box-hsup-seed1-trace0.json ...
 
-The kernel is `chargelab.windows.box_window_sums`.  It takes per-axis
+The box kernel is `chargelab.windows.box_window_sums`.  It takes per-axis
 half-open index ranges and evaluates the full cartesian product of windows,
-so a case costs roughly `queries` window sums.  The cases are four random
+so a case costs roughly `queries` window sums.  Its cases are four random
 batches (d = 1..4) and the all-centers shape of lkbench's `box-hsup`
 workload (d = 3, 64^3 cells, one window per cell center).  Sampled windows
 of every case are checked against `box_window_sum_direct`.
 
-With --label the rows are stored in BENCH_windows.json under that label,
-next to the Python, NumPy and SciPy versions and the processor count.
+The general-body cases time `seminorm_Kh` for the 2-ball and the regular
+hexagon (circumradius 1) on the extremal density (h - |x|_K)_+ at h = 1,
+on 24^2 and 48^2 cells as in lkbench's `general-body` workload; each value
+is checked against the origin's mask window, where the sup is attained.
+
+With --label the rows are stored in the --out file (BENCH_windows.json by
+default) under that label, next to the Python, NumPy and SciPy versions and
+the processor count and the wall time of acceptance criterion 01's
+layer-cake sweep (the same layer_cake_integral calls, in process).
 --src times another checkout's sources (say, the parent commit's `src`).
 --lkbench adds lkbench result files (`lkbench/run.py` leaves them as
 .lkbench_out/<workload>-seed<seed>-trace<0|1>.json) under the same label;
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -45,6 +54,9 @@ RANDOM_CASES = [(1, 1 << 18, 200_000), (2, 1024, 250_000),
 # box-hsup: d = 3, 64 cells per axis, a window of +-16 cells at every center
 ALL_CENTERS = (3, 64, 16)
 REPEATS = 15  # timed calls per case (50x that for the single query)
+# body, cells per axis (general-body cases)
+GENERAL_CASES = [("ball", 24), ("hexagon", 24), ("ball", 48), ("hexagon", 48)]
+GENERAL_REPEATS = 3
 LKBENCH_NAME = re.compile(r"(?P<workload>[\w-]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 
 
@@ -106,12 +118,56 @@ def kernel_rows(windows):
     return rows
 
 
+def general_rows():
+    from chargelab import Cone, ConvexBody, GridSpec, extremal_charge, seminorm_Kh
+
+    hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    bodies = {"ball": ConvexBody.pball(2, 2.0),
+              "hexagon": ConvexBody.polytope(2, vertices=hexagon)}
+    C, h = Cone.orthant(2, 0), 1.0
+    rows = []
+    for name, n in GENERAL_CASES:
+        K = bodies[name]
+        nu = extremal_charge(K, C, h, GridSpec.for_cone(2, 0, h, n, margin=0.25 * h))
+        origin = nu.window_value(K, np.zeros(2), h, "mask").value
+        times = []
+        for _ in range(GENERAL_REPEATS):
+            t0 = time.perf_counter()
+            value = seminorm_Kh(nu, K, h).value
+            times.append(time.perf_counter() - t0)
+            if abs(value - origin) > 1e-9 * abs(origin):
+                raise SystemExit(f"seminorm_Kh {name} n={n}: {value!r}, "
+                                 f"origin mask window {origin!r}")
+        rows.append({"case": f"seminorm_Kh {name} n={n}", "cells": n * n,
+                     "repeats": GENERAL_REPEATS, "best_ms": 1e3 * min(times),
+                     "median_ms": 1e3 * statistics.median(times), "value": value})
+    return rows
+
+
+def criterion01_seconds():
+    """Wall time of acceptance criterion 01's layer-cake calls."""
+    from chargelab import Cone, ConvexBody, layer_cake_integral
+
+    t0 = time.perf_counter()
+    for d in (1, 2, 3):
+        for m in range(d + 1):
+            for h in (0.5, 1.0, 2.0):
+                K, C = ConvexBody.box(d), Cone.orthant(d, m)
+                for n in (256, 64, 128):
+                    layer_cake_integral(K, C, h, "grid", n=n)
+    return time.perf_counter() - t0
+
+
 def environment():
     import scipy
 
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "nproc": os.cpu_count(),
             "machine": platform.machine()}
+
+
+def _speedups(before, after):
+    return {b["case"]: b["median_ms"] / a["median_ms"] for b, a in zip(before, after)}
 
 
 def _quartiles(xs):
@@ -174,7 +230,9 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the chargelab package to time")
     ap.add_argument("--label", choices=("before", "after"), default=None,
-                    help="store the figures in BENCH_windows.json under this label")
+                    help="store the figures in the --out file under this label")
+    ap.add_argument("--out", default=str(BENCH_FILE),
+                    help="BENCH file that --label writes (default: %(default)s)")
     ap.add_argument("--lkbench", nargs="*", default=[],
                     help="lkbench result files to store under --label")
     args = ap.parse_args(argv)
@@ -185,24 +243,31 @@ def main(argv=None) -> int:
     from chargelab import windows
 
     rows = kernel_rows(windows)
-    for row in rows:
+    general = general_rows()
+    for row in rows + general:
         print(json.dumps(row))
     if not args.label:
         return 0
-    bench = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else {}
+    crit = criterion01_seconds()
+    print(json.dumps({"case": "criterion 01 layer-cake sweep", "seconds": crit}))
+    out = Path(args.out)
+    bench = json.loads(out.read_text()) if out.exists() else {}
     bench.setdefault("environment", {})[args.label] = environment()
     kernel = bench.setdefault("kernel", {})
     kernel[args.label] = {"engine": windows.KERNEL, "rows": rows}
-    if "before" in kernel and "after" in kernel:
-        kernel["median_speedup"] = {
-            b["case"]: b["median_ms"] / a["median_ms"]
-            for b, a in zip(kernel["before"]["rows"], kernel["after"]["rows"])}
+    gen = bench.setdefault("general_body", {})
+    gen[args.label] = {"rows": general}
+    for part in (kernel, gen):
+        if "before" in part and "after" in part:
+            part["median_speedup"] = _speedups(part["before"]["rows"],
+                                               part["after"]["rows"])
+    bench.setdefault("criterion01_s", {})[args.label] = crit
     if args.lkbench:
         lk = bench.setdefault("lkbench", {})
         lk[args.label] = read_lkbench(args.lkbench, lk.setdefault("units", {}))
         lk["comparison"] = compare(lk)
-    BENCH_FILE.write_text(json.dumps(bench, indent=1) + "\n")
-    print(f"wrote {BENCH_FILE}")
+    out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {out}")
     return 0
 
 

@@ -2,10 +2,13 @@
 
 A charge is an absolutely continuous set function nu(Q) = integral of a
 density over Q, evaluated by midpoint quadrature on the density's grid.
-The central primitive is the window value nu(y + hK∩C); for box bodies with
-orthant cones it runs through the prefix-sum engine, otherwise through a
-direct membership mask.  On top of it sit the two seminorms: the sup over
-translates at fixed h, and its supremum over all h > 0.
+The central primitive is the window value nu(y + hK∩C).  Its values at every
+grid center come from the prefix-sum engine for box bodies with orthant
+cones, and from one lattice correlation of the density with the indicator
+of hK∩C for every other body and cone; a single window off the lattice
+(the origin, say) is summed through a direct membership mask.  On top of it
+sit the two seminorms: the sup over translates at fixed h, and its supremum
+over all h > 0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import windows
-from .geometry import ConvexBody, Cone, GeometryError
+from .geometry import ConvexBody, Cone, GeometryError, lattice_indicator
 from .grids import GridField, GridSpec
 from .golden import golden_min
 
@@ -212,10 +215,29 @@ class Charge:
             return WindowValue(total * g.cell_volume, self._truncation_flag(wlo, whi))
         raise GeometryError(f"unknown window method {method!r}")
 
-    def window_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
-        """nu(y + hK∩C) for y at every grid center (box/orthant fast path)."""
+    def window_values_all(self, K: ConvexBody, h: float,
+                          method: str = "auto") -> np.ndarray:
+        """nu(y + hK∩C) for y at every grid center.
+
+        method "prefix" (box body with orthant cone) answers the windows from
+        the prefix table; "correlation" (any body and cone) correlates the
+        density with the indicator of hK∩C at the lattice offsets.  "auto"
+        takes the prefix path where it applies.  Both exclude a cell center
+        on the window's boundary, up to the same relative tie tolerance.
+        """
+        if h <= 0:
+            raise GeometryError("h must be positive")
+        if method == "auto":
+            method = "prefix" if self._fast_path(K) else "correlation"
+        if method == "prefix":
+            return self._prefix_values_all(K, h)
+        if method == "correlation":
+            return self._correlation_values_all(K, h)
+        raise GeometryError(f"unknown batched window method {method!r}")
+
+    def _prefix_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
         if not self._fast_path(K):
-            raise GeometryError("batched window values need box body + orthant cone")
+            raise GeometryError("prefix path needs box body + orthant cone")
         g = self.density.grid
         m = self.cone.m
         i0s, i1s = [], []
@@ -230,39 +252,35 @@ class Charge:
             i1s.append(i1)
         return windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
 
+    def _correlation_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
+        g = self.density.grid
+        sp = g.spacing
+        # offsets o * spacing within the bounding box of hK; an offset of n
+        # cells or more along an axis reaches no cell from any center
+        r = np.minimum(np.floor(h * K.bounding_radii() / sp),
+                       np.asarray(g.shape) - 1).astype(int)
+        axes = [np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)]
+        ind = lattice_indicator(K, self.cone, h - windows._TIE * float(np.min(sp)), axes)
+        return windows.lattice_window_sums(self.density.values, ind) * g.cell_volume
+
 
 def seminorm_Kh(nu: Charge, K: ConvexBody, h: float,
                 extra_candidates=()) -> SeminormResult:
     """Sup over translate centers of |nu(y + hK∩C)|.
 
-    Candidate centers are all grid cell centers plus the origin (and any
-    extra candidates supplied); the extremal families attain the sup there.
+    Candidate centers are all grid cell centers, whose window values come
+    in one batch (Charge.window_values_all), plus the origin and any extra
+    candidates supplied; the extremal families attain the sup there.
     """
     if h <= 0:
         raise GeometryError("h must be positive")
     g = nu.density.grid
-    d = g.d
-    theta = np.zeros(d)
-    candidates = [theta] + [np.asarray(c, dtype=float) for c in extra_candidates]
-    best = -math.inf
-    arg = None
-    truncated = False
-    if nu._fast_path(K):
-        S = nu.window_values_all(K, h)
-        i = int(np.argmax(np.abs(S)))
-        best = float(abs(S.reshape(-1)[i]))
-        arg = g.flat_to_point(i)
-        truncated = nu._truncation_flag(*nu._window_bounds(K, arg, h))
-    else:
-        if g.size > 1 << 16:
-            raise GeometryError(
-                "general-body seminorm scan is O(grid^2); use a smaller grid"
-            )
-        for _, pts in g.iter_center_chunks():
-            for y in pts:
-                wv = nu.window_value(K, y, h)
-                if abs(wv.value) > best:
-                    best, arg, truncated = abs(wv.value), y, wv.truncated
+    S = np.abs(nu.window_values_all(K, h))
+    i = int(np.argmax(S))
+    best = float(S.reshape(-1)[i])
+    arg = g.flat_to_point(i)
+    truncated = nu._truncation_flag(*nu._window_bounds(K, arg, h))
+    candidates = [np.zeros(g.d)] + [np.asarray(c, dtype=float) for c in extra_candidates]
     for y in candidates:
         wv = nu.window_value(K, y, h)
         if abs(wv.value) > best:

@@ -28,6 +28,7 @@ __all__ = [
     "volume_body_cone",
     "layer_cake_integral",
     "layer_cake_closed_form",
+    "lattice_indicator",
 ]
 
 _SYM_TOL = 1e-12
@@ -377,23 +378,45 @@ def _grid_points(K: ConvexBody, n: int):
     return axes, cellvol
 
 
+def _lattice_slabs(axes):
+    """Yield the points of the cartesian product of the coordinate arrays in
+    `axes`, one (N, d) slab per entry of axes[0], N the product of the other
+    lengths.  All slabs share one array, overwritten before each yield."""
+    d = len(axes)
+    if d == 1:
+        yield np.asarray(axes[0], dtype=float)[:, None]
+        return
+    rest = np.meshgrid(*axes[1:], indexing="ij")
+    slab = np.empty((rest[0].size, d))
+    for k, r in enumerate(rest, start=1):
+        slab[:, k] = r.ravel()
+    for x0 in axes[0]:
+        slab[:, 0] = x0
+        yield slab
+
+
 def _mask_chunks(K: ConvexBody, C: Cone, h: float, n: int):
-    """Yield (points, inside-mask) chunks over the bounding box of hK."""
+    """Yield (gauges, inside-mask, cell volume) slabs over the n^d cell-center
+    lattice of the bounding box of hK."""
     axes, cellvol = _grid_points(K, n)
     axes = [h * a for a in axes]
     cellvol *= h**K.d
-    d = K.d
-    if d == 1:
-        pts = axes[0][:, None]
-        yield pts, (K.gauge_many(pts) < h) & C.member_many(pts), cellvol
-        return
-    rest = np.meshgrid(*axes[1:], indexing="ij")
-    rest = np.stack([r.ravel() for r in rest], axis=-1)
-    for x0 in axes[0]:
-        pts = np.concatenate(
-            [np.full((rest.shape[0], 1), x0), rest], axis=1
-        )
-        yield pts, (K.gauge_many(pts) < h) & C.member_many(pts), cellvol
+    for pts in _lattice_slabs(axes):
+        g = K.gauge_many(pts)
+        yield g, (g < h) & C.member_many(pts), cellvol
+
+
+def lattice_indicator(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
+    """0/1 indicator of the open set hK∩C at the cartesian product of the
+    coordinate arrays in `axes`, shape tuple(len(a) for a in axes)."""
+    if K.d != C.d or len(axes) != K.d:
+        raise GeometryError("body, cone and lattice dimensions differ")
+    out = np.empty(tuple(len(a) for a in axes))
+    # one row per slab: a single slab holds every point when d = 1
+    rows = out.reshape(len(axes[0]), -1) if K.d > 1 else out[None, :]
+    for row, pts in zip(rows, _lattice_slabs(axes)):
+        row[:] = (K.gauge_many(pts) < h) & C.member_many(pts)
+    return out
 
 
 def volume_body_cone(K: ConvexBody, C: Cone, method="exact", *, n: int = 256,
@@ -458,9 +481,8 @@ def layer_cake_integral(K: ConvexBody, C: Cone, h: float, method="grid", *,
         raise GeometryError("body and cone dimensions differ")
     if method == "grid":
         total = 0.0
-        for pts, mask, cellvol in _mask_chunks(K, C, h, n):
-            if mask.any():
-                total += float(np.sum(K.gauge_many(pts[mask]))) * cellvol
+        for g, mask, cellvol in _mask_chunks(K, C, h, n):
+            total += float(np.sum(g, where=mask)) * cellvol
         return total
     if method == "montecarlo":
         rng = np.random.default_rng(seed)

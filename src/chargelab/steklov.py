@@ -91,7 +91,7 @@ def _valid_window_mask(grid: GridSpec, cone: Cone, h: float, radii) -> np.ndarra
 
 
 def steklov_field(nu: Charge, p: SteklovParams):
-    """S_h nu at every grid center (box/orthant fast path).
+    """S_h nu at every grid center (Charge.window_values_all).
 
     Returns (values, valid_mask) where valid marks centers whose window is
     fully inside the sampled region.

@@ -1,10 +1,13 @@
 """The window-sum engine.
 
-Builds zero-padded prefix (summed-area) tables and answers batches of
-axis-aligned window queries from them.  Inclusion-exclusion over a cartesian
-product of per-axis windows factorises by axis, so a batch costs one
-difference pass per axis over the table instead of 2^d corner lookups per
-window.  Direct slicing of the values is kept as the oracle.
+Two batched kernels.  Axis-aligned windows (box bodies with orthant cones)
+are answered from zero-padded prefix (summed-area) tables: inclusion-exclusion
+over a cartesian product of per-axis windows factorises by axis, so a batch
+costs one difference pass per axis over the table instead of 2^d corner
+lookups per window.  A window of any other shape, translated to every cell
+center, is a discrete correlation of the values with the window's 0/1
+indicator over integer cell offsets, computed by one real FFT.  Direct
+slicing of the values is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 KERNEL = "separable"
 
 __all__ = ["KERNEL", "build_prefix", "index_range", "box_window_sums",
-           "box_window_sum_direct"]
+           "box_window_sum_direct", "lattice_window_sums"]
 
 # relative tie tolerance for strict window-boundary comparisons: a cell
 # center sitting exactly on the open window's boundary is excluded,
@@ -102,6 +105,29 @@ def box_window_sums(prefix: np.ndarray, i0s, i1s) -> np.ndarray:
     for axis, (i0, i1) in enumerate(zip(i0s, i1s)):
         out = np.take(out, i1, axis=axis) - np.take(out, i0, axis=axis)
     return out
+
+
+def lattice_window_sums(values: np.ndarray, indicator: np.ndarray) -> np.ndarray:
+    """Sum of the values over one window translated to every cell.
+
+    indicator has odd length 2 r_k + 1 <= 2 n_k - 1 along each axis k, its
+    middle entry standing for offset 0, so that the result at cell y is
+    sum_o indicator[r + o] * values[y + o], values outside the grid counting
+    as zero.  One real FFT correlation: a periodic length of n_k + r_k per
+    axis already keeps wrapped terms out of the n_k cells returned.
+    """
+    from scipy import fft
+
+    r = [(k - 1) // 2 for k in indicator.shape]
+    if any(k % 2 == 0 or rk >= n for k, rk, n in zip(indicator.shape, r, values.shape)):
+        raise ValueError("indicator needs odd length 2r+1 with r < n on every axis")
+    shape = [fft.next_fast_len(n + rk, real=True) for n, rk in zip(values.shape, r)]
+    axes = tuple(range(values.ndim))
+    # correlation with the indicator is convolution with its reflection
+    flipped = indicator[(slice(None, None, -1),) * values.ndim]
+    spec = fft.rfftn(values, shape, axes=axes) * fft.rfftn(flipped, shape, axes=axes)
+    full = fft.irfftn(spec, shape, axes=axes)
+    return full[tuple(slice(rk, rk + n) for rk, n in zip(r, values.shape))]
 
 
 def box_window_sum_direct(values: np.ndarray, i0s, i1s) -> float:

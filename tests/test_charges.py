@@ -111,8 +111,8 @@ class TestWindowValue:
     @pytest.mark.parametrize("body", ["box", "ball"])
     @pytest.mark.parametrize("h_win,escapes", [(0.3, False), (3.0, True)])
     def test_seminorm_truncation_is_the_winners(self, body, h_win, escapes):
-        # the box runs the prefix path, the 2-ball the mask path; a window of
-        # radius 3 about any center leaves the grid [-1.25, 1.25]^2
+        # the box runs the prefix path, the 2-ball the lattice correlation; a
+        # window of radius 3 about any center leaves the grid [-1.25, 1.25]^2
         K = ConvexBody.box(2) if body == "box" else ConvexBody.pball(2, 2.0)
         C = Cone.orthant(2, 0)
         grid = GridSpec.for_cone(2, 0, 1.0, 16, margin=0.25)
@@ -190,9 +190,96 @@ class TestExtremalFamily:
         assert grad_sup_polar(f, K, C) == pytest.approx(1.0, abs=1e-9)
 
 
+HEXAGON = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+
+
+def _general_bodies(d):
+    bodies = [ConvexBody.pball(d, p) for p in (1.0, 2.0, 3.5)]
+    if d == 2:
+        bodies.append(ConvexBody.polytope(2, vertices=HEXAGON))
+    return bodies
+
+
+def _general_cones(d):
+    cones = [Cone.orthant(d, m) for m in range(d + 1)]
+    if d == 2:
+        cones.append(Cone.halfspaces([[1.0, 0.3141], [0.2718, 1.0]]))
+    return cones
+
+
+def _offsets_off_boundary(K, C, h, grid) -> bool:
+    """No lattice offset u = o * spacing sits within 1e-6 spacings of the
+    boundary of hK∩C, so that rounding cannot split the two paths."""
+    sp = grid.spacing
+    r = np.minimum(np.ceil(h * K.bounding_radii() / sp), np.asarray(grid.shape) - 1)
+    axes = [np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)]
+    U = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.d)
+    margin = 1e-6 * float(np.min(sp))
+    g = K.gauge_many(U)
+    if np.any(np.abs(g - h) <= margin):
+        return False
+    if C.kind == "halfspaces":
+        inner = (g < h) & np.any(U != 0, axis=1)
+        return bool(np.all(np.abs(U[inner] @ C.normals.T) > margin))
+    return True
+
+
+class TestLatticeCorrelation:
+    @pytest.mark.parametrize("d,n", [(1, 24), (2, 12), (3, 7)])
+    def test_correlation_matches_mask_at_every_center(self, d, n):
+        rng = np.random.default_rng(d)
+        for C in _general_cones(d):
+            m = C.m if C.kind == "orthant" else 0
+            grid = GridSpec.for_cone(d, m, 1.0, n)
+            vals = rng.standard_normal(grid.shape)
+            nu = Charge(GridField(grid=grid, values=vals), C, check_support=False)
+            atol = 1e-12 * float(np.abs(vals).sum()) * grid.cell_volume
+            for K in _general_bodies(d):
+                for h in (0.37, 0.71):
+                    assert _offsets_off_boundary(K, C, h, grid), (K, C, h)
+                    S = nu.window_values_all(K, h, "correlation")
+                    mask = [nu.window_value(K, grid.flat_to_point(i), h, "mask").value
+                            for i in range(grid.size)]
+                    np.testing.assert_allclose(
+                        S.reshape(-1), mask, rtol=0, atol=atol,
+                        err_msg=f"{K.kind} p={K.p} {C.kind} m={C.m} h={h}")
+
+    @pytest.mark.parametrize("d,n", [(1, 40), (2, 24), (3, 16)])
+    def test_correlation_matches_prefix_on_ties(self, d, n):
+        # windows of 3, 5 and 7 spacings, also off by rounding-sized
+        # factors: every window boundary passes through cell centers, where
+        # both paths must exclude the cell
+        K = ConvexBody.box(d)
+        rng = np.random.default_rng(10 + d)
+        for m in range(d + 1):
+            lo = np.array([0.0 if k < m else -1.3 for k in range(d)])
+            shape = tuple(n // 2 if k < m else n for k in range(d))
+            grid = GridSpec(lo, np.full(d, 1.3), shape)
+            sp = float(grid.spacing[0])
+            assert np.all(grid.spacing == sp)
+            vals = rng.standard_normal(shape)
+            C = Cone.orthant(d, m)
+            nu = Charge(GridField(grid=grid, values=vals), C, check_support=False)
+            atol = 1e-12 * float(np.abs(vals).sum()) * grid.cell_volume
+            for k in (3, 5, 7):
+                for h in (k * sp * (1 - 1e-12), k * sp, k * sp * (1 + 1e-12)):
+                    np.testing.assert_allclose(
+                        nu.window_values_all(K, h, "correlation"),
+                        nu.window_values_all(K, h, "prefix"),
+                        rtol=0, atol=atol, err_msg=f"m={m} h={h / sp!r} spacings")
+
+    def test_unknown_batched_method_rejected(self):
+        K, C, grid = box_setting(1, 0, 1.0, 16)
+        nu = extremal_charge(K, C, 1.0, grid)
+        with pytest.raises(GeometryError):
+            nu.window_values_all(K, 0.5, "mask")
+        with pytest.raises(GeometryError):
+            nu.window_values_all(ConvexBody.pball(1, 2.0), 0.5, "prefix")
+
+
 class TestSeminormGeneralBody:
     def test_general_body_scan_matches_fast_path_for_box(self):
-        # cross-check: run the generic O(grid^2) loop with a box body
+        # cross-check: the prefix path against a mask window at every center
         d, m, h = 1, 0, 0.8
         K, C, grid = box_setting(d, m, h, 48)
         nu = extremal_charge(K, C, h, grid)
@@ -203,14 +290,16 @@ class TestSeminormGeneralBody:
                 best = max(best, abs(nu.window_value(K, y, h, "mask").value))
         assert fast == pytest.approx(best, abs=1e-10)
 
-    def test_large_grid_general_body_refused(self):
+    def test_large_grid_general_body_matches_origin_window(self):
         K2 = ConvexBody.pball(2, 2.0)
         C = Cone.orthant(2, 0)
         grid = GridSpec.for_cone(2, 0, 1.0, 512, margin=0.3)
-        f = extremal_density(ConvexBody.box(2), C, 1.0, grid)
-        nu = Charge(f, C)
-        with pytest.raises(GeometryError):
-            seminorm_Kh(nu, K2, 1.0)
+        nu = extremal_charge(K2, C, 1.0, grid)
+        res = seminorm_Kh(nu, K2, 1.0)
+        origin = nu.window_value(K2, np.zeros(2), 1.0, "mask").value
+        assert res.value == pytest.approx(origin, rel=1e-12)
+        np.testing.assert_array_equal(res.argmax, np.zeros(2))
+        assert not res.truncated
 
 
 class TestZeroCharge:
