@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import windows
-from .geometry import ConvexBody, Cone, GeometryError, lattice_indicator
+from .geometry import ConvexBody, Cone, GeometryError, _lattice_indicator
 from .grids import GridField, GridSpec
 from .golden import golden_min
 
@@ -215,29 +215,21 @@ class Charge:
             return WindowValue(total * g.cell_volume, self._truncation_flag(wlo, whi))
         raise GeometryError(f"unknown window method {method!r}")
 
-    def window_values_all(self, K: ConvexBody, h: float,
-                          method: str = "auto") -> np.ndarray:
+    def window_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
         """nu(y + hK∩C) for y at every grid center.
 
-        method "prefix" (box body with orthant cone) answers the windows from
-        the prefix table; "correlation" (any body and cone) correlates the
-        density with the indicator of hK∩C at the lattice offsets.  "auto"
-        takes the prefix path where it applies.  Both exclude a cell center
+        A box body with an orthant cone answers the windows from the prefix
+        table; every other body and cone correlates the density with the
+        indicator of hK∩C at the lattice offsets.  Both exclude a cell center
         on the window's boundary, up to the same relative tie tolerance.
         """
         if h <= 0:
             raise GeometryError("h must be positive")
-        if method == "auto":
-            method = "prefix" if self._fast_path(K) else "correlation"
-        if method == "prefix":
+        if self._fast_path(K):
             return self._prefix_values_all(K, h)
-        if method == "correlation":
-            return self._correlation_values_all(K, h)
-        raise GeometryError(f"unknown batched window method {method!r}")
+        return self._correlation_values_all(K, h)
 
     def _prefix_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
-        if not self._fast_path(K):
-            raise GeometryError("prefix path needs box body + orthant cone")
         g = self.density.grid
         m = self.cone.m
         i0s, i1s = [], []
@@ -260,7 +252,7 @@ class Charge:
         r = np.minimum(np.floor(h * K.bounding_radii() / sp),
                        np.asarray(g.shape) - 1).astype(int)
         axes = [np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)]
-        ind = lattice_indicator(K, self.cone, h - windows._TIE * float(np.min(sp)), axes)
+        ind = _lattice_indicator(K, self.cone, h - windows._TIE * float(np.min(sp)), axes)
         return windows.lattice_window_sums(self.density.values, ind) * g.cell_volume
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "volume_body_cone",
     "layer_cake_integral",
     "layer_cake_closed_form",
-    "lattice_indicator",
 ]
 
 _SYM_TOL = 1e-12
@@ -406,7 +405,7 @@ def _mask_chunks(K: ConvexBody, C: Cone, h: float, n: int):
         yield g, (g < h) & C.member_many(pts), cellvol
 
 
-def lattice_indicator(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
+def _lattice_indicator(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
     """0/1 indicator of the open set hK∩C at the cartesian product of the
     coordinate arrays in `axes`, shape tuple(len(a) for a in axes)."""
     if K.d != C.d or len(axes) != K.d:

@@ -237,7 +237,7 @@ class TestLatticeCorrelation:
             for K in _general_bodies(d):
                 for h in (0.37, 0.71):
                     assert _offsets_off_boundary(K, C, h, grid), (K, C, h)
-                    S = nu.window_values_all(K, h, "correlation")
+                    S = nu._correlation_values_all(K, h)
                     mask = [nu.window_value(K, grid.flat_to_point(i), h, "mask").value
                             for i in range(grid.size)]
                     np.testing.assert_allclose(
@@ -264,17 +264,9 @@ class TestLatticeCorrelation:
             for k in (3, 5, 7):
                 for h in (k * sp * (1 - 1e-12), k * sp, k * sp * (1 + 1e-12)):
                     np.testing.assert_allclose(
-                        nu.window_values_all(K, h, "correlation"),
-                        nu.window_values_all(K, h, "prefix"),
+                        nu._correlation_values_all(K, h),
+                        nu._prefix_values_all(K, h),
                         rtol=0, atol=atol, err_msg=f"m={m} h={h / sp!r} spacings")
-
-    def test_unknown_batched_method_rejected(self):
-        K, C, grid = box_setting(1, 0, 1.0, 16)
-        nu = extremal_charge(K, C, 1.0, grid)
-        with pytest.raises(GeometryError):
-            nu.window_values_all(K, 0.5, "mask")
-        with pytest.raises(GeometryError):
-            nu.window_values_all(ConvexBody.pball(1, 2.0), 0.5, "prefix")
 
 
 class TestSeminormGeneralBody:
