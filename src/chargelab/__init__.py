@@ -4,11 +4,8 @@ from .geometry import (
     ConvexBody,
     Cone,
     GeometryError,
-    gauge,
-    gauge_gradient,
     layer_cake_closed_form,
     layer_cake_integral,
-    polar_norm,
     volume_body_cone,
 )
 from .grids import GridField, GridSpec

@@ -331,6 +331,15 @@ def extremal_density(K: ConvexBody, C: Cone, h: float, grid: GridSpec) -> GridFi
         if not (lo_ok and grid.hi[axis] >= r[axis]):
             raise GeometryError("grid does not cover the support hK∩C")
 
+    value_fn, grad_fn = _extremal_callbacks(K, C, h)
+    fld = GridField.from_callback(grid, value_fn, grad_fn=grad_fn)
+    fld.sup_candidates.append(np.zeros(grid.d))
+    return fld
+
+
+def _extremal_callbacks(K: ConvexBody, C: Cone, h: float):
+    """Value and gradient callbacks of (h - |x|_K)_+ on the closed cone."""
+
     def value_fn(pts):
         w = h - K.gauge_many(pts)
         inside = C.member_closure_many(pts)
@@ -338,14 +347,15 @@ def extremal_density(K: ConvexBody, C: Cone, h: float, grid: GridSpec) -> GridFi
 
     def grad_fn(pts):
         g = K.gauge_many(pts)
-        inside = C.member_closure_many(pts) & (g > 0) & (g < h)
-        G = -K.gauge_gradient_many(pts)
-        G[~inside] = 0.0
+        outside = ~(C.member_closure_many(pts) & (g > 0) & (g < h))
+        G = K.gauge_gradient_many(pts)
+        for k in range(G.shape[1]):
+            col = G[:, k]
+            np.negative(col, out=col)
+            np.copyto(col, 0.0, where=outside)
         return G
 
-    fld = GridField.from_callback(grid, value_fn, grad_fn=grad_fn)
-    fld.sup_candidates.append(np.zeros(grid.d))
-    return fld
+    return value_fn, grad_fn
 
 
 def extremal_charge(K: ConvexBody, C: Cone, h: float, grid: GridSpec) -> Charge:

@@ -14,11 +14,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Cone, GeometryError
+from .geometry import Cone, GeometryError, _lattice_slabs
 
 __all__ = ["GridSpec", "GridField", "SupResult"]
 
 PointFn = Callable[[np.ndarray], np.ndarray]
+"""A callback: an (N, d) array of points to N values ((N, d) for a vector
+callback).  The sweeps pass slabs of one array that they overwrite for the
+next chunk, possibly column-major: a callback reads its points during the
+call and keeps neither the array nor a view of it."""
 
 
 @dataclass(frozen=True)
@@ -63,19 +67,13 @@ class GridSpec:
         return self.lo[i] + (np.arange(n) + 0.5) * self.spacing[i]
 
     def iter_center_chunks(self):
-        """Yield (flat_slice, points (N, d)) chunks covering all centers."""
-        d = self.d
-        if d == 1:
-            yield slice(0, self.shape[0]), self.axis_centers(0)[:, None]
-            return
-        tail_axes = [self.axis_centers(i) for i in range(1, d)]
-        tail = np.meshgrid(*tail_axes, indexing="ij")
-        tail = np.stack([t.ravel() for t in tail], axis=-1)
-        block = tail.shape[0]
-        x0 = self.axis_centers(0)
-        for j, v in enumerate(x0):
-            pts = np.concatenate([np.full((block, 1), v), tail], axis=1)
-            yield slice(j * block, (j + 1) * block), pts
+        """Yield (flat_slice, points) chunks covering every center once, in
+        flat (C) order.  points is an (N, d) array that every chunk reuses
+        (see `PointFn`)."""
+        block = self.size // self.shape[0]
+        axes = [self.axis_centers(i) for i in range(self.d)]
+        for j, pts in enumerate(_lattice_slabs(axes)):
+            yield slice(j * block, j * block + len(pts)), pts
 
     def flat_to_point(self, flat_index: int) -> np.ndarray:
         idx = np.unravel_index(flat_index, self.shape)
@@ -118,7 +116,14 @@ class SupResult:
 
 @dataclass
 class GridField:
-    """Density/function samples on a GridSpec, with optional callbacks."""
+    """Density/function samples on a GridSpec, with optional callbacks.
+
+    Invariant: when value_fn is given, `values` holds its samples at the
+    cell centers (`from_callback` builds them so), which lets `sup_abs`
+    read the value sup from `values`; `check_callback_consistency` measures
+    how far a field departs from it (fields of shifted differences agree
+    only to rounding).
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -156,28 +161,30 @@ class GridField:
     def sup_abs(self, which: str = "value", transform=None,
                 cone: Cone | None = None) -> SupResult:
         """Sup of |f| (or |transform(gradient rows)|) over cell centers plus
-        any registered candidate points.
+        any registered candidate points in the closure of `cone`.
 
+        The value sup over the centers reads the stored `values`; callbacks
+        run at the candidates and, for the other callbacks, at every center.
         transform maps an (N, d) array of gradients to (N,) scalars; when
         given, `which` must name a vector callback.
         """
         fn = self._callback(which)
-        best = -np.inf
-        arg = None
-        if fn is None:
-            if which != "value" or transform is not None:
-                raise GeometryError(f"field has no analytic {which} callback")
-            i = int(np.argmax(np.abs(self.values)))
-            best = float(np.abs(self.values.reshape(-1)[i]))
-            arg = self.grid.flat_to_point(i)
+        if which == "value" and transform is None:
+            mag = np.abs(self.values.reshape(-1))
+            i = int(np.argmax(mag))
+            best, arg = float(mag[i]), self.grid.flat_to_point(i)
+        elif fn is None:
+            raise GeometryError(f"field has no analytic {which} callback")
         else:
+            best, arg = -np.inf, None
             for _, pts in self.grid.iter_center_chunks():
                 out = fn(pts)
                 mag = np.abs(out) if transform is None else np.abs(transform(out))
                 j = int(np.argmax(mag))
                 if mag[j] > best:
                     best = float(mag[j])
-                    arg = pts[j]
+                    arg = pts[j].copy()  # pts is overwritten by the next chunk
+        if fn is not None:
             for cand in self.sup_candidates:
                 cand = np.asarray(cand, dtype=float)
                 if cone is not None and not cone.member_closure(cand):

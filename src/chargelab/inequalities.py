@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 
 from .charges import (
     Charge,
+    _extremal_callbacks,
     extremal_density,
     grad_sup_polar,
     seminorm_K,
@@ -277,16 +278,16 @@ def box_corner_integral(B: np.ndarray, h: float) -> np.ndarray:
     B = np.clip(np.asarray(B, dtype=float), 0.0, h)
     if B.ndim == 1:
         B = B[None, :]
-    d = B.shape[1]
-    prod_b = np.prod(B, axis=1)
-    s = np.sort(B, axis=1)
+    cols = [B[:, k] for k in range(B.shape[1])]
+    prod_b = cols[0].copy()
+    for c in cols[1:]:
+        prod_b *= c
     # integral of max(u) over the box, by layer-cake segments
     I = np.zeros(B.shape[0])
     prev = np.zeros(B.shape[0])
     pref = np.ones(B.shape[0])
-    for j in range(d):
-        q = d - j
-        sj = s[:, j]
+    for j, sj in enumerate(_sorted_columns(cols)):
+        q = len(cols) - j
         I += prod_b * (sj - prev) - pref * (sj ** (q + 1) - prev ** (q + 1)) / (
             q + 1
         )
@@ -295,30 +296,26 @@ def box_corner_integral(B: np.ndarray, h: float) -> np.ndarray:
     return h * prod_b - I
 
 
+def _sorted_columns(cols: list) -> list:
+    """The columns sorted row by row, ascending (the columns of
+    np.sort(B, axis=1)), by an odd-even transposition network of
+    np.minimum / np.maximum passes.  Overwrites the arrays in `cols`."""
+    cols = list(cols)
+    for rnd in range(len(cols)):
+        for i in range(rnd % 2, len(cols) - 1, 2):
+            lo = np.minimum(cols[i], cols[i + 1])
+            np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
+            cols[i] = lo
+    return cols
+
+
 def _signed_antiderivative(X: np.ndarray, h: float) -> np.ndarray:
     """Nested integral of (h - |u|_inf)_+ from 0 to each coordinate."""
     X = np.asarray(X, dtype=float)
-    sign = np.prod(np.sign(X), axis=1)
+    sign = np.sign(X[:, 0])
+    for k in range(1, X.shape[1]):
+        sign *= np.sign(X[:, k])
     return sign * box_corner_integral(np.abs(X), h)
-
-
-def _box_mixed_callbacks(h: float, d: int, m: int):
-    body = ConvexBody.box(d)
-    cone = Cone.orthant(d, m)
-
-    def mixed_fn(pts):
-        w = h - body.gauge_many(pts)
-        inside = cone.member_closure_many(pts)
-        return np.where(inside & (w > 0), w, 0.0)
-
-    def mixed_grad_fn(pts):
-        g = body.gauge_many(pts)
-        inside = cone.member_closure_many(pts) & (g > 0) & (g < h)
-        G = -body.gauge_gradient_many(pts)
-        G[~inside] = 0.0
-        return G
-
-    return mixed_fn, mixed_grad_fn
 
 
 def extremal_mixed_m0(h: float, d: int, grid: GridSpec) -> GridField:
@@ -327,7 +324,8 @@ def extremal_mixed_m0(h: float, d: int, grid: GridSpec) -> GridField:
     sup|f| = h^(d+1)/(d+1) at (h, ..., h); the mixed derivative is the
     extremal density itself.
     """
-    mixed_fn, mixed_grad_fn = _box_mixed_callbacks(h, d, 0)
+    mixed_fn, mixed_grad_fn = _extremal_callbacks(
+        ConvexBody.box(d), Cone.orthant(d, 0), h)
     fld = GridField.from_callback(
         grid,
         lambda pts: _signed_antiderivative(pts, h),
@@ -373,7 +371,8 @@ def extremal_mixed_m1(h: float, d: int, grid: GridSpec,
     """
     if a is None:
         a = split_point(h, d)
-    mixed_fn, mixed_grad_fn = _box_mixed_callbacks(h, d, 1)
+    mixed_fn, mixed_grad_fn = _extremal_callbacks(
+        ConvexBody.box(d), Cone.orthant(d, 1), h)
 
     def value_fn(pts):
         pts = np.asarray(pts, dtype=float)
