@@ -19,6 +19,15 @@ hexagon (circumradius 1) on the extremal density (h - |x|_K)_+ at h = 1,
 on 24^2 and 48^2 cells as in lkbench's `general-body` workload; each value
 is checked against the origin's mask window, where the sup is attained.
 
+The deviation cases time `deviation_sup` on the box body's extremal charge
+with its prefix table already built (the seminorm builds it first in every
+report): the shape of lkbench's `box-hsup` (d = 3, m = 1, 64^3 cells),
+acceptance criterion 04's d = 3 cases (96^3 cells) and `verify --case
+extremal-charge --d 3` at its default grid of 128, the last one in a fresh
+process that also reports its peak resident set size.  Each value is
+checked against the sharp d h / (d + 1).  One more row times
+`Charge._support_box` on the d = 3, n = 256 extremal field.
+
 With --label the rows are stored in the --out file (BENCH_windows.json by
 default) under that label, next to the Python, NumPy and SciPy versions and
 the processor count and the wall time of acceptance criterion 01's
@@ -39,7 +48,9 @@ import math
 import os
 import platform
 import re
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -57,6 +68,12 @@ REPEATS = 15  # timed calls per case (50x that for the single query)
 # body, cells per axis (general-body cases)
 GENERAL_CASES = [("ball", 24), ("hexagon", 24), ("ball", 48), ("hexagon", 48)]
 GENERAL_REPEATS = 3
+# deviation cases: label, d, m, h, cells per axis, grid margin over h
+DEVIATION_CASES = [("box-hsup", 3, 1, 1.0, 64, 0.25),
+                   ("criterion 04", 3, 1, 1.0, 96, 0.3),
+                   ("criterion 04", 3, 3, 2.0, 96, 0.3)]
+RSS_CASE = ("verify grid 128", 3, 0, 1.0, 128, 0.25)
+DEVIATION_REPEATS = 5
 LKBENCH_NAME = re.compile(r"(?P<workload>[\w-]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 
 
@@ -141,6 +158,66 @@ def general_rows():
         rows.append({"case": f"seminorm_Kh {name} n={n}", "cells": n * n,
                      "repeats": GENERAL_REPEATS, "best_ms": 1e3 * min(times),
                      "median_ms": 1e3 * statistics.median(times), "value": value})
+    return rows
+
+
+def deviation_case(d, m, h, n, margin):
+    from chargelab import Cone, ConvexBody, GridSpec, SteklovParams, extremal_charge
+
+    K, C = ConvexBody.box(d), Cone.orthant(d, m)
+    nu = extremal_charge(K, C, h, GridSpec.for_cone(d, m, h, n, margin=margin * h))
+    nu.prefix()
+    return nu, SteklovParams.create(K, C, h)
+
+
+def deviation_row(label, d, m, h, n, margin, repeats):
+    from chargelab import deviation_sup
+
+    nu, p = deviation_case(d, m, h, n, margin)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        value = deviation_sup(nu, p).value
+        times.append(time.perf_counter() - t0)
+    want = d * h / (d + 1)
+    if abs(value - want) > 1e-3 * want:
+        raise SystemExit(f"deviation_sup {label}: {value!r}, sharp {want!r}")
+    return {"case": f"deviation_sup {label} d={d} m={m} h={h} n={n}",
+            "repeats": repeats, "best_ms": 1e3 * min(times),
+            "median_ms": 1e3 * statistics.median(times), "value": value}
+
+
+def rss_case_row():
+    """RSS_CASE once, in this process: its row plus the peak RSS."""
+    label, d, m, h, n, margin = RSS_CASE
+    row = deviation_row(label, d, m, h, n, margin, 1)
+    row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return row
+
+
+def support_row():
+    from chargelab import Cone, ConvexBody, GridSpec, extremal_charge
+
+    K, C = ConvexBody.box(3), Cone.orthant(3, 1)
+    nu = extremal_charge(K, C, 1.0, GridSpec.for_cone(3, 1, 1.0, 256, margin=0.3))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        lo, hi = nu._support_box()
+        times.append(time.perf_counter() - t0)
+    if not (np.allclose(lo, [0.0, -1.0, -1.0], atol=0.02)
+            and np.allclose(hi, 1.0, atol=0.02)):
+        raise SystemExit(f"support box {lo!r}, {hi!r} is not the window")
+    return {"case": "support box d=3 n=256", "repeats": 3,
+            "best_ms": 1e3 * min(times), "median_ms": 1e3 * statistics.median(times)}
+
+
+def deviation_rows(src):
+    rows = [deviation_row(*case, DEVIATION_REPEATS) for case in DEVIATION_CASES]
+    child = subprocess.run([sys.executable, __file__, "--src", src, "--rss-case"],
+                           capture_output=True, text=True, check=True)
+    rows.append(json.loads(child.stdout.splitlines()[-1]))
+    rows.append(support_row())
     return rows
 
 
@@ -235,6 +312,7 @@ def main(argv=None) -> int:
                     help="BENCH file that --label writes (default: %(default)s)")
     ap.add_argument("--lkbench", nargs="*", default=[],
                     help="lkbench result files to store under --label")
+    ap.add_argument("--rss-case", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.lkbench and not args.label:
         ap.error("--lkbench needs --label")
@@ -242,9 +320,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     from chargelab import windows
 
+    if args.rss_case:
+        print(json.dumps(rss_case_row()))
+        return 0
     rows = kernel_rows(windows)
     general = general_rows()
-    for row in rows + general:
+    deviation = deviation_rows(args.src)
+    for row in rows + general + deviation:
         print(json.dumps(row))
     if not args.label:
         return 0
@@ -257,7 +339,9 @@ def main(argv=None) -> int:
     kernel[args.label] = {"engine": windows.KERNEL, "rows": rows}
     gen = bench.setdefault("general_body", {})
     gen[args.label] = {"rows": general}
-    for part in (kernel, gen):
+    dev = bench.setdefault("deviation", {})
+    dev[args.label] = {"rows": deviation}
+    for part in (kernel, gen, dev):
         if "before" in part and "after" in part:
             part["median_speedup"] = _speedups(part["before"]["rows"],
                                                part["after"]["rows"])

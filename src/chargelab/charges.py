@@ -6,8 +6,10 @@ The central primitive is the window value nu(y + hK∩C).  Its values at every
 grid center come from the prefix-sum engine for box bodies with orthant
 cones, and from one lattice correlation of the density with the indicator
 of hK∩C for every other body and cone; a single window off the lattice
-(the origin, say) is summed through a direct membership mask.  On top of it
-sit the two seminorms: the sup over translates at fixed h, and its supremum
+(the origin, say) is summed through a direct membership mask.  For box
+bodies with orthant cones the prefix table also gives fractional windows,
+where cells cut by a face count with the fraction inside.  On top of it sit
+the two seminorms: the sup over translates at fixed h, and its supremum
 over all h > 0.
 """
 
@@ -79,18 +81,23 @@ class Charge:
     # -- support bookkeeping ----------------------------------------------
 
     def _support_box(self):
-        v = self.density.values
-        scale = float(np.max(np.abs(v))) if v.size else 0.0
+        a = np.abs(self.density.values)
+        d = a.ndim
+        # an axis is occupied where the max of |v| over the other axes passes
+        # the threshold; the max over the first axis holds every such line
+        # but the first axis' own, which the max over the last axis holds
+        head, tail = (a.max(axis=0), a.max(axis=-1)) if d > 1 else (a, a)
+        scale = float(head.max())
         if scale == 0.0:
             return None, None
-        mask = np.abs(v) > _SUPPORT_EPS * scale
+        lines = [tail.max(axis=tuple(range(1, d - 1)))] + [
+            head.max(axis=tuple(i for i in range(d - 1) if i != axis - 1))
+            for axis in range(1, d)]
         lo = []
         hi = []
         g = self.density.grid
-        for axis in range(g.d):
-            other = tuple(i for i in range(g.d) if i != axis)
-            line = mask.any(axis=other) if other else mask
-            idx = np.nonzero(line)[0]
+        for axis, line in enumerate(lines):
+            idx = np.nonzero(line > _SUPPORT_EPS * scale)[0]
             lo.append(g.lo[axis] + idx[0] * g.spacing[axis])
             hi.append(g.lo[axis] + (idx[-1] + 1) * g.spacing[axis])
         return np.array(lo), np.array(hi)
@@ -156,7 +163,9 @@ class Charge:
 
     def window_value(self, K: ConvexBody, y, h: float,
                      method: str = "auto") -> WindowValue:
-        """nu(y + hK∩C) by midpoint quadrature."""
+        """nu(y + hK∩C) by midpoint quadrature: "prefix" (box body with
+        orthant cone) and "mask" (any) count the cells whose centers lie
+        inside, "overlap" (box with orthant) the fractional window."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.cone.d,):
             raise GeometryError("translate has wrong dimension")
@@ -165,44 +174,18 @@ class Charge:
         g = self.density.grid
         if method == "auto":
             method = "prefix" if self._fast_path(K) else "mask"
-        if method in ("prefix", "direct"):
+        if method in ("prefix", "overlap"):
             if not self._fast_path(K):
-                raise GeometryError("prefix/direct paths need box body + orthant cone")
+                raise GeometryError(f"{method} path needs box body + orthant cone")
             wlo, whi = self._window_bounds(K, y, h)
-            i0s, i1s = [], []
-            for axis in range(g.d):
-                i0, i1 = windows.index_range(
-                    g.lo[axis], g.spacing[axis], g.shape[axis],
-                    wlo[axis], whi[axis],
-                )
-                i0s.append(np.array([i0]))
-                i1s.append(np.array([i1]))
-            if method == "prefix":
-                s = float(windows.box_window_sums(self.prefix(), i0s, i1s).reshape(-1)[0])
+            if method == "overlap":
+                s = self._fractional_sums(wlo[:, None], whi[:, None])
             else:
-                s = windows.box_window_sum_direct(self.density.values, i0s, i1s)
-            return WindowValue(s * g.cell_volume, self._truncation_flag(wlo, whi))
-        if method == "overlap":
-            # exact cell-overlap integration: boundary cells contribute
-            # their fractional volume, removing the O(spacing) edge error
-            # of the strict-center paths
-            if not self._fast_path(K):
-                raise GeometryError("overlap path needs box body + orthant cone")
-            wlo, whi = self._window_bounds(K, y, h)
-            sub = self.density.values
-            wvecs = []
-            for axis in range(g.d):
-                j0, j1, w = windows.overlap_weights(
-                    g.lo[axis], g.spacing[axis], g.shape[axis],
-                    wlo[axis], whi[axis],
-                )
-                if j1 <= j0:
-                    return WindowValue(0.0, self._truncation_flag(wlo, whi))
-                sub = sub[(slice(None),) * len(wvecs) + (slice(j0, j1),)]
-                wvecs.append(w)
-            for w in wvecs:
-                sub = np.tensordot(sub, w, axes=([0], [0]))
-            return WindowValue(float(sub), self._truncation_flag(wlo, whi))
+                ranges = [windows.index_range(g.lo[k], g.spacing[k], g.shape[k],
+                                              wlo[k], whi[k]) for k in range(g.d)]
+                i0s, i1s = ([np.array([r[j]]) for r in ranges] for j in (0, 1))
+                s = windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
+            return WindowValue(float(s.reshape(-1)[0]), self._truncation_flag(wlo, whi))
         if method == "mask":
             total = 0.0
             flat = self.density.values.reshape(-1)
@@ -243,6 +226,28 @@ class Charge:
             i0s.append(i0)
             i1s.append(i1)
         return windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
+
+    def fractional_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
+        """nu(y + hK∩C) for y at every grid center, cells cut by a window's
+        faces counting with the fraction inside: the exact integral of the
+        piecewise-constant density.  Box body with orthant cone only."""
+        if h <= 0:
+            raise GeometryError("h must be positive")
+        if not self._fast_path(K):
+            raise GeometryError("fractional windows need box body + orthant cone")
+        g = self.density.grid
+        c = [g.axis_centers(axis) for axis in range(g.d)]
+        return self._fractional_sums(
+            [ca if axis < self.cone.m else ca - h for axis, ca in enumerate(c)],
+            [ca + h for ca in c])
+
+    def _fractional_sums(self, wlos, whis) -> np.ndarray:
+        """Exact integrals of the density over the boxes with per-axis
+        bounds [wlos[k], whis[k]], cut to the grid, one per combination."""
+        g = self.density.grid
+        t0s = [(a - lo) / sp for a, lo, sp in zip(wlos, g.lo, g.spacing)]
+        t1s = [(b - lo) / sp for b, lo, sp in zip(whis, g.lo, g.spacing)]
+        return windows.box_window_sums(self.prefix(), t0s, t1s) * g.cell_volume
 
     def _correlation_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
         g = self.density.grid

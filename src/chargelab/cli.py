@@ -89,9 +89,9 @@ def _zero_field(grid: GridSpec) -> GridField:
 
 EQUALITY_CASES = {"extremal-charge", "nagy-extremal", "mixed-m0", "mixed-m1",
                   "zero"}
-# cases whose additive bound needs steklov.deviation_sup: batched window
-# values exist for every body and cone, but its fractional-overlap refinement
-# of the leading centers is written for box bodies with orthant cones only
+# cases whose additive bound needs steklov.deviation_sup, whose fractional
+# windows (exact integrals over each window) exist for box bodies with
+# orthant cones only
 WINDOW_CASES = {"extremal-charge", "gaussian-charge", "zero",
                 "corrupted-extremal"}
 
@@ -103,8 +103,8 @@ def _verify_reports(cfg: dict):
     K = body_from_config(d, cfg["body"])
     C = cone_from_config(d, cfg["cone"]) if cfg["cone"] else Cone.orthant(d, m)
     if case in WINDOW_CASES and not (K.is_box and C.kind == "orthant"):
-        raise ConfigError(f"verify case {case!r}: the deviation's overlap "
-                          "refinement needs box body + orthant cone")
+        raise ConfigError(f"verify case {case!r}: the deviation's fractional "
+                          "windows need box body + orthant cone")
     reports = []
     for h in hs:
         h = float(h)

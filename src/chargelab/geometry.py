@@ -484,11 +484,6 @@ def volume_body_cone(K: ConvexBody, C: Cone, method="exact", *, n: int = 256,
     raise GeometryError(f"unknown volume method {method!r}")
 
 
-def volume_scaled(K: ConvexBody, C: Cone, h: float, method="exact", **kw) -> float:
-    """mu(hK∩C) via the exact scaling law h^d * mu(K∩C)."""
-    return h**K.d * volume_body_cone(K, C, method, **kw).value
-
-
 def layer_cake_closed_form(K: ConvexBody, C: Cone, h: float, mu_KC: float) -> float:
     """Closed form d*h^(d+1)/(d+1) * mu(K∩C) of the gauge integral over hK∩C."""
     d = K.d

@@ -91,9 +91,6 @@ class GridSpec:
         hi = np.full(d, r)
         return cls(lo, hi, (n,) * d)
 
-    def refine(self, factor: int) -> "GridSpec":
-        return GridSpec(self.lo, self.hi, tuple(n * factor for n in self.shape))
-
     def trim(self, lo_cells: Sequence[int], hi_cells: Sequence[int]) -> "GridSpec":
         """Drop cells from each end of every axis (for difference stencils)."""
         sp = self.spacing
@@ -218,7 +215,7 @@ class GridField:
             sup_candidates=list(self.sup_candidates),
         )
 
-    def check_callback_consistency(self, atol: float = 1e-12) -> float:
+    def check_callback_consistency(self) -> float:
         """Max |sampled - callback| over cell centers (should be ~0)."""
         if self.value_fn is None:
             return 0.0

@@ -2,8 +2,10 @@
 
 S_h averages a charge over translated copies of hK∩C and is the optimal
 bounded approximant to the density operator; its norm is 1/(h^d mu(K∩C)).
-For the mixed-derivative setting (box body, orthant cone) the same operator
-is realized on functions as a composition of forward and central difference
+The deviation sup integrates the density exactly over each window
+(fractional windows, box bodies with orthant cones only).  For the
+mixed-derivative setting (box body, orthant cone) the same operator is
+realized on functions as a composition of forward and central difference
 operators scaled by 1/(2^(d-m) h^d), with norm 2^m/h^d.
 """
 
@@ -111,37 +113,26 @@ class DeviationResult:
 def deviation_sup(nu: Charge, p: SteklovParams) -> DeviationResult:
     """Sup over the cone of |D_mu nu - S_h nu|.
 
-    The sup runs over grid centers whose window lies inside the sampled
-    region, plus the origin; the fraction of usable centers is reported as
-    coverage.
+    S_h integrates the density exactly over each window (strict center
+    counting has an O(spacing) bias).  The sup runs over grid centers whose
+    window lies inside the sampled region, plus the origin and the sup
+    candidates; the fraction of usable centers is reported as coverage.
     """
+    if not nu._fast_path(p.K):
+        raise GeometryError("the deviation's fractional windows need "
+                            "box body + orthant cone")
     grid = nu.density.grid
-    S, mask = steklov_field(nu, p)
-    dev = np.abs(nu.density.values - S)
-    coverage = float(mask.mean())
+    mask = _valid_window_mask(grid, nu.cone, p.h, p.K.bounding_radii())
     if not mask.any():
         raise GeometryError("no grid center has its full window inside the grid")
-    dev_masked = np.where(mask, dev, -np.inf)
-    flat = dev_masked.reshape(-1)
-    i = int(np.argmax(flat))
-    best = float(flat[i])
+    dev = nu.fractional_values_all(p.K, p.h)
+    dev *= p.scale
+    np.subtract(nu.density.values, dev, out=dev)
+    np.abs(dev, out=dev)
+    dev[~mask] = -np.inf
+    i = int(np.argmax(dev))
+    best = float(dev.reshape(-1)[i])
     arg = grid.flat_to_point(i)
-    # the prefix path excludes boundary cells whole, an O(spacing) bias for
-    # windows not aligned with cell edges; re-evaluate the leading centers
-    # with fractional-overlap integration
-    k = min(64, flat.size)
-    top = np.argpartition(flat, -k)[-k:]
-    best = -np.inf
-    for j in top:
-        if not np.isfinite(flat[j]):
-            continue
-        y = grid.flat_to_point(int(j))
-        wv = nu.window_value(p.K, y, p.h, "overlap")
-        v = abs(float(nu.density.values.reshape(-1)[int(j)]) - wv.value * p.scale)
-        if v > best:
-            best, arg = v, y
-    if not np.isfinite(best):
-        best = float(flat[i])
     # candidate points with analytic values (the extremals peak at theta)
     for cand in [np.zeros(grid.d)] + list(nu.density.sup_candidates):
         cand = np.asarray(cand, dtype=float)
@@ -149,14 +140,13 @@ def deviation_sup(nu: Charge, p: SteklovParams) -> DeviationResult:
             break
         if not nu.cone.member_closure(cand):
             continue
-        method = "overlap" if nu._fast_path(p.K) else "auto"
-        wv = nu.window_value(p.K, cand, p.h, method)
+        wv = nu.window_value(p.K, cand, p.h, "overlap")
         if wv.truncated:
             continue
         v = abs(float(nu.density.value_fn(cand[None, :])[0]) - wv.value * p.scale)
         if v > best:
             best, arg = v, cand
-    return DeviationResult(best, arg, coverage)
+    return DeviationResult(best, arg, float(mask.mean()))
 
 
 # -- difference operators --------------------------------------------------

@@ -4,8 +4,12 @@ Two batched kernels.  Axis-aligned windows (box bodies with orthant cones)
 are answered from zero-padded prefix (summed-area) tables: inclusion-exclusion
 over a cartesian product of per-axis windows factorises by axis, so a batch
 costs one difference pass per axis over the table instead of 2^d corner
-lookups per window.  A window of any other shape, translated to every cell
-center, is a discrete correlation of the values with the window's 0/1
+lookups per window.  The same pass takes integer cell ranges (strict windows:
+the cells whose centers lie inside) or real cell positions (fractional
+windows: cells cut by a face count with the fraction inside, the exact
+integral of the piecewise-constant values), the latter by linear
+interpolation of the table.  A window of any other shape, translated to every
+cell center, is a discrete correlation of the values with the window's 0/1
 indicator over integer cell offsets, computed by one real FFT.  Direct
 slicing of the values is kept as the oracle.
 """
@@ -74,37 +78,45 @@ def index_ranges_batch(lo: float, delta: float, n: int,
     return i0, i1
 
 
-def overlap_weights(lo: float, delta: float, n: int, a: float, b: float):
-    """Cell range [j0, j1) overlapping [a, b] plus per-cell overlap lengths.
-
-    Unlike index_range, boundary cells enter with their fractional overlap,
-    so summing density * weight integrates the piecewise-constant density
-    exactly over the interval (O(delta^2) error against a smooth density).
-    """
-    if b <= a:
-        return 0, 0, np.zeros(0)
-    j0 = max(int(np.floor((a - lo) / delta)), 0)
-    j1 = min(int(np.ceil((b - lo) / delta)), n)
-    if j1 <= j0:
-        return j0, j0, np.zeros(0)
-    edges = lo + np.arange(j0, j1 + 1) * delta
-    w = np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1])
-    return j0, j1, np.clip(w, 0.0, None)
-
-
 def box_window_sums(prefix: np.ndarray, i0s, i1s) -> np.ndarray:
     """Window sums from a zero-padded prefix table.
 
     prefix has shape (n_1+1, ..., n_d+1) with prefix[j] the sum of values
     over cells < j in every axis (see build_prefix).  i0s/i1s hold, per axis,
-    int arrays giving each query's half-open cell index range [i0, i1) along
-    that axis.  Returns one sum per combination of per-axis queries, with
-    shape tuple(len(a) for a in i0s).
+    the ends of each query's window along that axis, in cells.  Integer
+    arrays are half-open cell index ranges [i0, i1).  Real arrays are
+    positions, clipped to [0, n_k]: a cell cut by an end counts with the
+    fraction of it inside, so the sum is the exact integral, in cell units,
+    of the piecewise-constant values over the box cut to the grid.  Returns
+    one sum per combination of per-axis queries, with shape
+    tuple(len(a) for a in i0s).
     """
     out = prefix
     for axis, (i0, i1) in enumerate(zip(i0s, i1s)):
-        out = np.take(out, i1, axis=axis) - np.take(out, i0, axis=axis)
+        if np.issubdtype(np.asarray(i0).dtype, np.integer):
+            out = np.take(out, i1, axis=axis) - np.take(out, i0, axis=axis)
+        else:
+            out = _fractional_difference(out, i0, i1, axis)
     return out
+
+
+def _fractional_difference(table: np.ndarray, t0, t1, axis: int) -> np.ndarray:
+    """F(t1) - F(t0) along one axis, F the linear interpolant of the table
+    over integer positions; three result-sized arrays, as the strict pass."""
+    n = table.shape[axis] - 1
+    shape = table.shape[:axis] + (len(t0),) + table.shape[axis + 1:]
+    lo, hi, below = np.empty(shape), np.empty(shape), np.empty(shape)
+    for t, out in ((t0, lo), (t1, hi)):
+        t = np.clip(t, 0.0, n)
+        k = np.minimum(t.astype(np.int64), n - 1)
+        # k, k + 1 are in range; mode="raise" would buffer each take
+        np.take(table, k + 1, axis=axis, out=out, mode="clip")
+        np.take(table, k, axis=axis, out=below, mode="clip")
+        out -= below
+        out *= (t - k).reshape((-1,) + (1,) * (table.ndim - 1 - axis))
+        out += below
+    hi -= lo
+    return hi
 
 
 def lattice_window_sums(values: np.ndarray, indicator: np.ndarray) -> np.ndarray:

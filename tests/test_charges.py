@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chargelab import windows
 from chargelab.charges import (
     Charge,
     extremal_charge,
@@ -32,7 +33,11 @@ class TestWindowValue:
             y = rng.uniform([-0.2, -1.0], [1.0, 1.0])
             h = rng.uniform(0.1, 0.8)
             vp = nu.window_value(K, y, h, "prefix").value
-            vd = nu.window_value(K, y, h, "direct").value
+            wlo, whi = nu._window_bounds(K, y, h)
+            ranges = [windows.index_range(grid.lo[k], grid.spacing[k], grid.shape[k],
+                                          wlo[k], whi[k]) for k in range(2)]
+            vd = windows.box_window_sum_direct(
+                nu.density.values, *zip(*ranges)) * grid.cell_volume
             vm = nu.window_value(K, y, h, "mask").value
             assert vp == pytest.approx(vd, abs=1e-12)
             assert vp == pytest.approx(vm, abs=1e-12)
@@ -50,7 +55,7 @@ class TestWindowValue:
              sine_component(0.9) * bump(0.0, 1.2)],
         )
         nu = Charge(f, C)
-        fine = grid.refine(4)
+        fine = GridSpec(grid.lo, grid.hi, tuple(4 * n for n in grid.shape))
         y, h = np.array([0.15, -0.1]), 0.6
         acc = 0.0
         for sl, pts in fine.iter_center_chunks():
@@ -151,6 +156,46 @@ class TestSupportMargin:
         grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]), shape=(32,))
         f = GridField(grid=grid, values=np.ones(32))
         Charge(f, Cone.orthant(1, 0), check_support=False)
+
+
+class TestSupportBox:
+    @staticmethod
+    def reference(values, grid):
+        """Support box from the np.nonzero indices of the thresholded field."""
+        a = np.abs(values)
+        if a.max() == 0.0:
+            return None, None
+        idx = np.nonzero(a > 1e-12 * a.max())
+        lo = [grid.lo[k] + idx[k].min() * grid.spacing[k] for k in range(grid.d)]
+        hi = [grid.lo[k] + (idx[k].max() + 1) * grid.spacing[k] for k in range(grid.d)]
+        return np.array(lo), np.array(hi)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_nonzero_reference(self, d):
+        rng = np.random.default_rng(d)
+        shape = tuple(int(k) for k in rng.integers(5, 9, size=d))
+        grid = GridSpec(np.full(d, -1.0), np.linspace(1.0, 2.0, d), shape)
+        cases = {"zero": np.zeros(shape)}
+        for name in ("inner", "face"):
+            v = np.zeros(shape)
+            i0 = rng.integers(1, 3, size=d)
+            i1 = [int(rng.integers(a + 1, s)) for a, s in zip(i0, shape)]
+            if name == "face":
+                i0[int(rng.integers(d))] = 0
+            box = tuple(slice(a, b) for a, b in zip(i0, i1))
+            v[box] = rng.normal(size=v[box].shape)
+            # below the relative threshold: not support
+            v[(-1,) * d] = 1e-13 * np.abs(v).max()
+            cases[name] = v
+        for name, v in cases.items():
+            nu = Charge(GridField(grid=grid, values=v), Cone.orthant(d, 0),
+                        check_support=False)
+            lo, hi = self.reference(v, grid)
+            if lo is None:
+                assert nu.is_zero and nu._support_hi is None
+                continue
+            assert np.array_equal(nu._support_lo, lo), name
+            assert np.array_equal(nu._support_hi, hi), name
 
 
 class TestExtremalFamily:
@@ -311,7 +356,7 @@ class TestFamilies:
         C = Cone.orthant(2, 1)
         for name in ("gaussian", "sin", "poly"):
             f = make_density(name, grid, C)
-            f.check_callback_consistency()
+            assert f.check_callback_consistency() <= 1e-12, name
 
     def test_gaussian_density_supported_inside(self):
         grid = GridSpec.for_cone(2, 0, 2.0, 64)

@@ -12,7 +12,6 @@ from chargelab.geometry import (
     layer_cake_closed_form,
     layer_cake_integral,
     volume_body_cone,
-    volume_scaled,
 )
 
 HEX_VERTS = [
@@ -196,10 +195,6 @@ class TestVolume:
         v = volume_body_cone(K, Cone.orthant(2, 0), "montecarlo",
                              samples=200_000, seed=11)
         assert abs(v.value - math.pi) <= 4 * v.stderr
-
-    def test_scaling_law(self):
-        K, C = ConvexBody.box(2), Cone.orthant(2, 1)
-        assert volume_scaled(K, C, 0.5) == pytest.approx(0.5**2 * 2.0)
 
 
 class TestLayerCake:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargelab.charges import Charge, extremal_charge, seminorm_Kh
 from chargelab.families import (
@@ -13,7 +15,7 @@ from chargelab.families import (
     sine_component,
 )
 from chargelab.geometry import ConvexBody, Cone, GeometryError
-from chargelab.grids import GridSpec
+from chargelab.grids import GridField, GridSpec
 from chargelab.steklov import (
     MixedParams,
     SteklovParams,
@@ -100,6 +102,118 @@ class TestSteklovOnExtremal:
             assert dev.value <= bound + 1e-6
 
 
+def overlap_weights(lo, delta, n, a, b):
+    """Cells [j0, j1) of one axis that meet [a, b], and each one's overlap
+    length with it."""
+    if b <= a:
+        return 0, 0, np.zeros(0)
+    j0 = max(int(np.floor((a - lo) / delta)), 0)
+    j1 = min(int(np.ceil((b - lo) / delta)), n)
+    if j1 <= j0:
+        return j0, j0, np.zeros(0)
+    edges = lo + np.arange(j0, j1 + 1) * delta
+    w = np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1])
+    return j0, j1, np.clip(w, 0.0, None)
+
+
+def overlap_window(values, grid, wlo, whi):
+    """Reference: integral of the piecewise-constant values over the box
+    [wlo, whi] cut to the grid, by per-axis overlap weights and tensordot."""
+    sub, ws = values, []
+    for axis in range(grid.d):
+        j0, j1, w = overlap_weights(grid.lo[axis], grid.spacing[axis],
+                                    grid.shape[axis], wlo[axis], whi[axis])
+        if j1 <= j0:
+            return 0.0
+        sub = sub[(slice(None),) * axis + (slice(j0, j1),)]
+        ws.append(w)
+    for w in ws:
+        sub = np.tensordot(sub, w, axes=([0], [0]))
+    return float(sub)
+
+
+def window_bounds(y, h, m):
+    """Per-axis bounds of y + hK∩C for the box body and the orthant cone."""
+    wlo = y - h
+    wlo[:m] = y[:m]
+    return wlo, y + h
+
+
+class TestFractionalWindows:
+    @given(st.integers(0, 1_000_000))
+    @settings(max_examples=40, deadline=None)
+    def test_field_matches_overlap_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 4))
+        m = int(rng.integers(0, d + 1))
+        n = {1: 24, 2: 10, 3: 6}[d]
+        shape = tuple(int(k) for k in rng.integers(n // 2, n + 1, size=d))
+        sp = float(rng.uniform(0.05, 0.3))
+        lo = np.array([0.0 if k < m else -rng.uniform(0.2, 0.8) * s * sp
+                       for k, s in enumerate(shape)])
+        grid = GridSpec(lo, lo + np.array(shape) * sp, shape)
+        values = rng.normal(size=shape)
+        C = Cone.orthant(d, m)
+        nu = Charge(GridField(grid=grid, values=values), C, check_support=False)
+        K = ConvexBody.box(d)
+        # a random radius, up to past the grid, or a cell multiple a hair off
+        if rng.random() < 0.5:
+            h = float(rng.uniform(0.05, 1.5)) * max(shape) * sp
+        else:
+            h = (int(rng.integers(1, n + 1)) * float(grid.spacing[0])
+                 * (1.0 + float(rng.choice([-1e-12, 0.0, 1e-12]))))
+        got = nu.fractional_values_all(K, h)
+        atol = 1e-12 * float(np.abs(values).sum()) * grid.cell_volume
+        for i in range(grid.size):
+            y = grid.flat_to_point(i)
+            want = overlap_window(values, grid, *window_bounds(y, h, m))
+            assert abs(got.reshape(-1)[i] - want) <= atol, (i, h)
+        # a single window anywhere, the origin included
+        for y in [np.zeros(d)] + [rng.uniform(lo - h, grid.hi) for _ in range(3)]:
+            y[:m] = np.abs(y[:m])
+            want = overlap_window(values, grid, *window_bounds(y, h, m))
+            assert abs(nu.window_value(K, y, h, "overlap").value - want) <= atol
+
+    def test_non_box_windows_rejected(self):
+        grid = GridSpec.for_cone(2, 0, 1.0, 16, margin=0.3)
+        K = ConvexBody.pball(2, 2.0)
+        nu = extremal_charge(K, Cone.orthant(2, 0), 1.0, grid)
+        with pytest.raises(GeometryError, match="box body"):
+            nu.fractional_values_all(K, 0.5)
+        with pytest.raises(GeometryError, match="box body"):
+            deviation_sup(nu, SteklovParams.create(K, Cone.orthant(2, 0), 0.5))
+        cone = Cone.halfspaces([[1.0, 0.0], [0.0, 1.0]])
+        nu = Charge(nu.density, cone, check_support=False)
+        with pytest.raises(GeometryError, match="box body"):
+            deviation_sup(nu, SteklovParams.create(ConvexBody.box(2), cone, 0.5,
+                                                   mu=1.0))
+
+    @pytest.mark.parametrize("d,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
+                                     (3, 1)])
+    def test_deviation_is_the_brute_force_sup(self, d, m):
+        # every valid center through the reference, plus the origin
+        K, C = ConvexBody.box(d), Cone.orthant(d, m)
+        rng = np.random.default_rng(10 * d + m)
+        grid = GridSpec.for_cone(d, m, 1.5, {1: 48, 2: 20, 3: 10}[d])
+        for _ in range(3):
+            f = random_separable_field(rng, grid, C)
+            nu = Charge(f, C)
+            values = f.values
+            h = float(rng.uniform(0.2, 0.9))
+            p = SteklovParams.create(K, C, h)
+            best = -math.inf
+            for i in range(grid.size):
+                y = grid.flat_to_point(i)
+                wlo, whi = window_bounds(y, h, m)
+                if np.all(wlo >= grid.lo - 1e-12) and np.all(whi <= grid.hi + 1e-12):
+                    S = overlap_window(values, grid, wlo, whi) * p.scale
+                    best = max(best, abs(values.reshape(-1)[i] - S))
+            origin = np.zeros(d)
+            S0 = overlap_window(values, grid, *window_bounds(origin, h, m)) * p.scale
+            best = max(best, abs(float(f.value_fn(origin[None, :])[0]) - S0))
+            assert deviation_sup(nu, p).value == pytest.approx(best, rel=1e-12)
+
+
 class TestDifferenceOperators:
     def test_forward_difference_of_quadratic(self):
         grid = GridSpec.for_cone(1, 0, 2.0, 64)
@@ -129,7 +243,7 @@ class TestDifferenceOperators:
         f = make_density("sin", grid, Cone.orthant(2, 1))
         h = float(grid.spacing[0]) * 4
         g = diff_forward(f, 0, h)
-        g.check_callback_consistency()
+        assert g.check_callback_consistency() <= 1e-12
 
 
 class TestMixedOperator:

@@ -39,6 +39,14 @@ class TestPrefixTable:
             ref = windows.box_window_sum_direct(values, a, b)
             assert abs(out[idx] - ref) <= 1e-10 * max(1.0, abs(ref))
 
+    def test_real_positions_at_integers_match_ranges(self):
+        rng = np.random.default_rng(5)
+        values, prefix, i0s, i1s = random_case(rng, 3, 12, 6)
+        got = windows.box_window_sums(prefix, [a.astype(float) for a in i0s],
+                                      [b.astype(float) for b in i1s])
+        np.testing.assert_allclose(got, windows.box_window_sums(prefix, i0s, i1s),
+                                   rtol=0, atol=1e-12 * values.sum())
+
     def test_empty_window_is_zero(self):
         values = np.ones((5, 5))
         prefix = windows.build_prefix(values)
