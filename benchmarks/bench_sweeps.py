@@ -113,7 +113,7 @@ def sweep_rows():
         ("value sup d=3 n=256", lambda: fld.sup_abs("value", cone=C).value, h),
         ("gradient sup d=3 n=256", lambda: grad_sup_polar(fld, K, C), 1.0),
         ("layer cake 2-ball 128^3",
-         lambda: layer_cake_integral(ball, Cone.orthant(3, 0), 1.0, "grid", n=128),
+         lambda: layer_cake_integral(ball, Cone.orthant(3, 0), 1.0, n=128),
          math.pi),  # the integral of |u|_2 over the unit ball
     ]
     rows = []
@@ -141,7 +141,7 @@ def criteria_seconds():
     for d, m, h in sweep:
         K, C = ConvexBody.box(d), Cone.orthant(d, m)
         for n in (256, 64, 128):
-            layer_cake_integral(K, C, h, "grid", n=n)
+            layer_cake_integral(K, C, h, n=n)
     crit01 = time.perf_counter() - t0
     t0 = time.perf_counter()
     for d, m, h in sweep:

@@ -185,20 +185,14 @@ def sum_fields(fields: list[GridField]) -> GridField:
     return out
 
 
-def _axis_bump(grid: GridSpec, axis: int, cone_m: int, shrink: float = 0.88):
+def _axis_bump(grid: GridSpec, axis: int, shrink: float = 0.88):
     """Bump spanning most of the axis while leaving a support margin."""
     lo, hi = grid.lo[axis], grid.hi[axis]
-    c = 0.5 * (lo + hi)
-    r = 0.5 * (hi - lo) * shrink
-    if axis < cone_m:
-        # keep the support away from 0 only by the grid's own margin rule
-        c = 0.5 * (lo + hi)
-    return bump(c, r)
+    return bump(0.5 * (lo + hi), 0.5 * (hi - lo) * shrink)
 
 
 def make_density(name: str, grid: GridSpec, cone: Cone, **params) -> GridField:
     """Named built-in densities used by the CLI config."""
-    m = cone.m if cone.kind == "orthant" else 0
     if name == "gaussian":
         center = params.get("center", [0.0] * grid.d)
         width = params.get("width", 1.0)
@@ -206,20 +200,20 @@ def make_density(name: str, grid: GridSpec, cone: Cone, **params) -> GridField:
         comps = []
         for i in range(grid.d):
             g = gaussian_component(center[i], width, amp if i == 0 else 1.0)
-            comps.append(g * _axis_bump(grid, i, m))
+            comps.append(g * _axis_bump(grid, i))
         return separable_field(grid, comps)
     if name == "sin":
         freq = params.get("freq", math.pi)
         phase = params.get("phase", 0.0)
         comps = [
-            sine_component(freq, phase) * _axis_bump(grid, i, m)
+            sine_component(freq, phase) * _axis_bump(grid, i)
             for i in range(grid.d)
         ]
         return separable_field(grid, comps)
     if name == "poly":
         coeffs = params.get("coeffs", [0.0, 1.0])
         comps = [
-            poly_component(coeffs) * _axis_bump(grid, i, m) for i in range(grid.d)
+            poly_component(coeffs) * _axis_bump(grid, i) for i in range(grid.d)
         ]
         return separable_field(grid, comps)
     raise GeometryError(f"unknown density family {name!r}")
@@ -228,7 +222,6 @@ def make_density(name: str, grid: GridSpec, cone: Cone, **params) -> GridField:
 def random_separable_field(rng: np.random.Generator, grid: GridSpec,
                            cone: Cone, terms: int | None = None) -> GridField:
     """Random compactly supported smooth field (mixture of separable terms)."""
-    m = cone.m if cone.kind == "orthant" else 0
     n_terms = int(terms or rng.integers(1, 4))
     fields = []
     for _ in range(n_terms):

@@ -4,9 +4,10 @@ A body K is an open bounded convex set, symmetric about the origin, given
 either as a polytope (vertices + facets) or as a p-ball.  It carries the
 Minkowski gauge |x|_K, the dual (polar) norm |x|_{K°}, and the gradient of
 the gauge.  Cones are either orthant products R^m_+ x R^(d-m) or finite
-halfspace intersections.  Volumes of K∩C and the integral of the gauge over
-hK∩C are computed exactly where a closed form exists and by grid or
-Monte-Carlo quadrature otherwise.
+halfspace intersections.  The volume of K∩C is exact (a closed form for
+p-ball orthants, qhull for polytopes and the box) except for a p-ball with
+a halfspaces cone, where a lattice count stands in; the integral of the
+gauge over hK∩C is a cell-center lattice quadrature.
 """
 
 from __future__ import annotations
@@ -178,30 +179,6 @@ class ConvexBody:
         if self.kind == "pball":
             return _pnorm_many(X, _conjugate_exponent(self.p))
         return _column_max(np.abs(X @ self.vertices.T))
-
-    def gauge_gradient(self, x) -> np.ndarray:
-        """Gradient of the gauge at x != 0.
-
-        For a polytope this is n/delta of the active facet (piecewise
-        constant); for a p-ball the smooth formula, with the usual sign
-        convention at p = 1 or inf.  Returns the zero vector at the origin.
-        """
-        x = _as_vector(x, self.d)
-        r = self.gauge(x)
-        if r == 0.0:
-            return np.zeros(self.d)
-        if self.kind == "polytope":
-            scores = self.facet_normals @ x / self.facet_offsets
-            i = int(np.argmax(scores))
-            return self.facet_normals[i] / self.facet_offsets[i]
-        if self.p == math.inf:
-            g = np.zeros(self.d)
-            i = int(np.argmax(np.abs(x)))
-            g[i] = np.sign(x[i])
-            return g
-        if self.p == 1:
-            return np.sign(x)
-        return np.sign(x) * (np.abs(x) / r) ** (self.p - 1)
 
     def gauge_gradient_many(self, X: np.ndarray) -> np.ndarray:
         """Vectorized gauge gradient for an (N, d) array; zero rows at the
@@ -387,9 +364,7 @@ class Cone:
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
-    method: str
-    stderr: float = 0.0
-    seed: int | None = None
+    method: str  # "closed-form", "interval", "qhull" or "grid"
 
 
 def _grid_points(K: ConvexBody, n: int):
@@ -444,44 +419,71 @@ def _lattice_indicator(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
     return out
 
 
-def volume_body_cone(K: ConvexBody, C: Cone, method="exact", *, n: int = 256,
-                     samples: int = 100_000, seed: int = 0) -> VolumeEstimate:
-    """Lebesgue measure of K∩C.
+def volume_body_cone(K: ConvexBody, C: Cone) -> VolumeEstimate:
+    """Lebesgue measure mu(K∩C), exact wherever K∩C is a p-ball orthant or a
+    polytope.
 
-    method "exact" is available for box bodies with orthant cones
-    (mu = 2^(d-m)); "grid" counts cell centers of an n^d lattice over the
-    bounding box of K; "montecarlo" is unbiased uniform sampling with a
-    reported standard error.
+    A p-ball with an orthant cone has the closed form
+    (2 Gamma(1 + 1/p))^d / Gamma(1 + d/p) / 2^m (2^(d-m) for the box); at
+    d = 1 the body is an interval cut by the cone; a polytope, or the box,
+    with any other cone is the qhull volume of the intersection of their
+    halfspaces.  Only a p-ball (p < inf) with a halfspaces cone falls back to
+    counting the cell centers of a 256^d lattice over the bounding box of K.
+    A pair whose intersection has an empty interior raises GeometryError.
     """
     if K.d != C.d:
         raise GeometryError("body and cone dimensions differ")
-    if method == "exact":
-        if K.is_box and C.kind == "orthant":
-            return VolumeEstimate(float(2 ** (K.d - C.m)), "exact")
-        raise GeometryError("exact volume only for box body with orthant cone")
-    if method == "grid":
-        total = 0.0
-        cellvol = None
-        for _, mask, cv in _mask_chunks(K, C, 1.0, n):
-            total += float(mask.sum())
-            cellvol = cv
-        vol = total * cellvol
-        if vol <= 0:
-            raise GeometryError("degenerate body/cone pair: zero grid volume")
-        return VolumeEstimate(vol, "grid")
-    if method == "montecarlo":
-        rng = np.random.default_rng(seed)
-        radii = K.bounding_radii()
-        pts = rng.uniform(-radii, radii, size=(samples, K.d))
-        inside = (K.gauge_many(pts) < 1.0) & C.member_many(pts)
-        boxvol = float(np.prod(2 * radii))
-        phat = inside.mean()
-        vol = boxvol * phat
-        if vol <= 0:
-            raise GeometryError("degenerate body/cone pair: zero MC volume")
-        stderr = boxvol * math.sqrt(phat * (1 - phat) / samples)
-        return VolumeEstimate(vol, "montecarlo", stderr=stderr, seed=seed)
-    raise GeometryError(f"unknown volume method {method!r}")
+    d = K.d
+    if K.kind == "pball" and C.kind == "orthant":
+        g = (2.0 * math.gamma(1.0 + 1.0 / K.p)) ** d / math.gamma(1.0 + d / K.p)
+        return VolumeEstimate(g / 2.0**C.m, "closed-form")
+    normals = C.normals if C.kind == "halfspaces" else np.eye(d)[: C.m]
+    if d == 1:
+        r = float(K.bounding_radii()[0])
+        lo = 0.0 if np.any(normals > 0) else -r
+        hi = 0.0 if np.any(normals < 0) else r
+        return VolumeEstimate(_nonempty(hi - lo), "interval")
+    if K.kind == "polytope" or K.is_box:
+        return VolumeEstimate(_qhull_volume(K, normals), "qhull")
+    count = 0
+    for _, mask, cellvol in _mask_chunks(K, C, 1.0, 256):
+        count += int(np.count_nonzero(mask))
+    return VolumeEstimate(_nonempty(count * cellvol), "grid")
+
+
+_EMPTY = "degenerate body/cone pair: K∩C has empty interior"
+
+
+def _nonempty(vol: float) -> float:
+    if vol <= 0:
+        raise GeometryError(_EMPTY)
+    return vol
+
+
+def _qhull_volume(K: ConvexBody, cone_normals: np.ndarray) -> float:
+    """Volume of the polytope K (or the box) cut by the halfspaces
+    (x, a) > 0, through qhull at the Chebyshev center of the intersection."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    d = K.d
+    if K.is_box:
+        facet_normals = np.vstack([np.eye(d), -np.eye(d)])
+        offsets = np.ones(2 * d)
+    else:
+        facet_normals, offsets = K.facet_normals, K.facet_offsets
+    # K∩C = {x : A x <= b}; the cone rows (x, a) >= 0 have b = 0
+    A = np.vstack([facet_normals, -cone_normals])
+    b = np.r_[offsets, np.zeros(len(cone_normals))]
+    # Chebyshev center: max y subject to A x + y |A_i| <= b
+    lp = linprog(np.r_[np.zeros(d), -1.0],
+                 A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]), b_ub=b,
+                 bounds=[(None, None)] * d + [(0.0, None)])
+    # a largest inscribed ball of rounding size: no interior point for qhull
+    if not lp.success or lp.x[-1] <= 1e-12 * float(np.max(offsets)):
+        raise GeometryError(_EMPTY)
+    hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), lp.x[:-1])
+    return float(ConvexHull(hs.intersections).volume)
 
 
 def layer_cake_closed_form(K: ConvexBody, C: Cone, h: float, mu_KC: float) -> float:
@@ -490,26 +492,17 @@ def layer_cake_closed_form(K: ConvexBody, C: Cone, h: float, mu_KC: float) -> fl
     return d * h ** (d + 1) / (d + 1) * mu_KC
 
 
-def layer_cake_integral(K: ConvexBody, C: Cone, h: float, method="grid", *,
-                        n: int = 256, samples: int = 100_000, seed: int = 0) -> float:
-    """Numerical integral of |u|_K over hK∩C."""
+def layer_cake_integral(K: ConvexBody, C: Cone, h: float, *,
+                        n: int = 256) -> float:
+    """Integral of |u|_K over hK∩C by the cell-center rule on an n^d lattice
+    over the bounding box of hK."""
     if h < 0:
         raise GeometryError("h must be nonnegative")
     if h == 0:
         return 0.0
     if K.d != C.d:
         raise GeometryError("body and cone dimensions differ")
-    if method == "grid":
-        total = 0.0
-        for g, mask, cellvol in _mask_chunks(K, C, h, n):
-            total += float(np.sum(g, where=mask)) * cellvol
-        return total
-    if method == "montecarlo":
-        rng = np.random.default_rng(seed)
-        radii = h * K.bounding_radii()
-        pts = rng.uniform(-radii, radii, size=(samples, K.d))
-        g = K.gauge_many(pts)
-        inside = (g < h) & C.member_many(pts)
-        boxvol = float(np.prod(2 * radii))
-        return boxvol * float(np.mean(np.where(inside, g, 0.0)))
-    raise GeometryError(f"unknown layer-cake method {method!r}")
+    total = 0.0
+    for g, mask, cellvol in _mask_chunks(K, C, h, n):
+        total += float(np.sum(g, where=mask)) * cellvol
+    return total

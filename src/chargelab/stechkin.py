@@ -43,7 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSetting:
-    """Charge setting (general K, C) or mixed setting (box + orthant)."""
+    """Charge setting (general K, C) or mixed setting (box + orthant).
+
+    Both constructors take mu(K∩C) from geometry.volume_body_cone."""
 
     kind: str  # "charge" | "mixed"
     d: int
@@ -53,23 +55,16 @@ class ProblemSetting:
     C: Cone | None = None
 
     @classmethod
-    def charge(cls, K: ConvexBody, C: Cone, mu: float | None = None) -> "ProblemSetting":
-        if mu is None:
-            if K.is_box and C.kind == "orthant":
-                mu = volume_body_cone(K, C, "exact").value
-            else:
-                mu = volume_body_cone(K, C, "grid", n=256).value
-        if mu <= 0:
-            raise GeometryError("mu(K∩C) must be positive")
+    def charge(cls, K: ConvexBody, C: Cone) -> "ProblemSetting":
         m = C.m if C.kind == "orthant" else 0
-        return cls(kind="charge", d=K.d, m=m, mu=float(mu), K=K, C=C)
+        return cls(kind="charge", d=K.d, m=m, mu=volume_body_cone(K, C).value,
+                   K=K, C=C)
 
     @classmethod
     def mixed(cls, d: int, m: int) -> "ProblemSetting":
-        if not (0 <= m <= d):
-            raise GeometryError("need 0 <= m <= d")
-        return cls(kind="mixed", d=d, m=m, mu=float(2 ** (d - m)),
-                   K=ConvexBody.box(d), C=Cone.orthant(d, m))
+        K, C = ConvexBody.box(d), Cone.orthant(d, m)
+        return cls(kind="mixed", d=d, m=m, mu=volume_body_cone(K, C).value,
+                   K=K, C=C)
 
 
 def omega(setting: ProblemSetting, delta: float) -> float:

@@ -40,22 +40,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteklovParams:
+    """Window average over hK∩C; create() takes mu(K∩C) from
+    geometry.volume_body_cone."""
+
     K: ConvexBody
     C: Cone
     h: float
     mu: float  # mu(K∩C)
 
     @classmethod
-    def create(cls, K: ConvexBody, C: Cone, h: float,
-               mu: float | None = None) -> "SteklovParams":
+    def create(cls, K: ConvexBody, C: Cone, h: float) -> "SteklovParams":
         if h <= 0:
             raise GeometryError("h must be positive")
-        if mu is None:
-            if K.is_box and C.kind == "orthant":
-                mu = volume_body_cone(K, C, "exact").value
-            else:
-                mu = volume_body_cone(K, C, "grid", n=256).value
-        return cls(K=K, C=C, h=float(h), mu=float(mu))
+        return cls(K=K, C=C, h=float(h), mu=volume_body_cone(K, C).value)
 
     @property
     def scale(self) -> float:
@@ -225,7 +222,8 @@ def diff_central(f: GridField, axis: int, h: float) -> GridField:
 
 @dataclass(frozen=True)
 class MixedParams:
-    """Box body (-1,1)^d with orthant cone R^m_+ x R^(d-m)."""
+    """Box body (-1,1)^d with orthant cone R^m_+ x R^(d-m); mu = 2^(d-m) from
+    geometry.volume_body_cone."""
 
     d: int
     m: int
@@ -247,7 +245,7 @@ class MixedParams:
 
     @property
     def mu(self) -> float:
-        return float(2 ** (self.d - self.m))
+        return volume_body_cone(self.body, self.cone).value
 
     def steklov(self) -> SteklovParams:
         return SteklovParams(K=self.body, C=self.cone, h=self.h, mu=self.mu)

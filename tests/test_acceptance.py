@@ -98,14 +98,14 @@ def test_criterion_01_layer_cake_identity():
         K, C = ConvexBody.box(d), Cone.orthant(d, m)
         mu = 2.0 ** (d - m)
         want = layer_cake_closed_form(K, C, h, mu)
-        got = layer_cake_integral(K, C, h, "grid", n=256)
+        got = layer_cake_integral(K, C, h, n=256)
         rel = abs(got - want) / want
         worst = max(worst, rel)
         assert rel <= 5e-3, (d, m, h, rel)
         # error halving under refinement (with an exactness floor: the d=1
         # box quadrature is exact, so both errors can be zero)
-        e1 = abs(layer_cake_integral(K, C, h, "grid", n=64) - want)
-        e2 = abs(layer_cake_integral(K, C, h, "grid", n=128) - want)
+        e1 = abs(layer_cake_integral(K, C, h, n=64) - want)
+        e2 = abs(layer_cake_integral(K, C, h, n=128) - want)
         assert e2 <= e1 / 1.8 + 1e-12, (d, m, h, e1, e2)
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"layer-cake sweep took {elapsed:.1f}s"

@@ -88,6 +88,21 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
         assert "box body + orthant cone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        "{kind: pball, p: 1}",
+        "{kind: pball, p: 2}",
+        "{kind: polytope, vertices: [[1, 0], [0.5, 0.8660254037844386], "
+        "[-0.5, 0.8660254037844386], [-1, 0], [-0.5, -0.8660254037844386], "
+        "[0.5, -0.8660254037844386]]}",
+    ], ids=["l1-ball", "disc", "hexagon"])
+    def test_nagy_extremal_general_body(self, tmp_path, body):
+        # equality needs the exact mu(K∩C): a lattice count of the 1-ball
+        # misses it
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"body: {body}\n")
+        assert run(["verify", "--config", cfg, "--case", "nagy-extremal",
+                    "--d", 2, "--h", 1, "--grid", 64, "--out", tmp_path]) == 0
+
     def test_density_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("case: zero\ndensity: {path: does-not-exist.csv}\n")

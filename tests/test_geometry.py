@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import beta
 
 from chargelab.geometry import (
     ConvexBody,
@@ -170,31 +171,73 @@ class TestCone:
         np.testing.assert_array_equal(Ch.member_many(X), Co.member_many(X))
 
 
+def pball_volume(d, p):
+    """Volume of the unit p-ball by the slice recursion
+    V_k = V_(k-1) * 2 * int_0^1 (1 - t^p)^((k-1)/p) dt, each integral a beta
+    function."""
+    if p == math.inf:
+        return 2.0**d
+    vol = 2.0
+    for k in range(2, d + 1):
+        vol *= 2.0 / p * beta(1.0 / p, (k - 1) / p + 1.0)
+    return vol
+
+
 class TestVolume:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pball_orthant_closed_form(self, d, p):
+        for m in range(d + 1):
+            v = volume_body_cone(ConvexBody.pball(d, p), Cone.orthant(d, m))
+            assert v.method == "closed-form"
+            assert v.value == pytest.approx(pball_volume(d, p) / 2**m,
+                                            rel=1e-12, abs=0)
+
     def test_exact_box_orthant(self):
         for d in (1, 2, 3):
             for m in range(d + 1):
                 v = volume_body_cone(ConvexBody.box(d), Cone.orthant(d, m))
                 assert v.value == 2 ** (d - m)
 
-    def test_grid_matches_exact_for_box(self):
-        v = volume_body_cone(ConvexBody.box(2), Cone.orthant(2, 1), "grid",
-                             n=256)
-        assert v.value == pytest.approx(2.0, rel=5e-3)
-
     def test_hexagon_area(self):
         K = ConvexBody.polytope(2, vertices=HEX_VERTS)
         area = 3 * math.sqrt(3) / 2
-        v = volume_body_cone(K, Cone.orthant(2, 0), "grid", n=512)
-        assert v.value == pytest.approx(area, rel=2e-3)
-        q = volume_body_cone(K, Cone.orthant(2, 2), "grid", n=512)
-        assert q.value == pytest.approx(3 * math.sqrt(3) / 8, rel=5e-3)
+        for C, share in [(Cone.orthant(2, 0), 1), (Cone.orthant(2, 1), 2),
+                         (Cone.orthant(2, 2), 4),
+                         (Cone.halfspaces([[1, 0], [0, 1]]), 4)]:
+            v = volume_body_cone(K, C)
+            assert v.method == "qhull"
+            assert v.value == pytest.approx(area / share, rel=1e-12, abs=0)
 
-    def test_montecarlo_within_stated_stderr(self):
-        K = ConvexBody.pball(2, 2.0)
-        v = volume_body_cone(K, Cone.orthant(2, 0), "montecarlo",
-                             samples=200_000, seed=11)
-        assert abs(v.value - math.pi) <= 4 * v.stderr
+    def test_cube_with_halfspaces_cone(self):
+        C = Cone.halfspaces([[1, 0, 0], [0, 1, 0]])
+        v = volume_body_cone(ConvexBody.box(3), C)
+        assert v.method == "qhull"
+        assert v.value == pytest.approx(2.0, rel=1e-12, abs=0)
+
+    def test_interval_at_d1(self):
+        K = ConvexBody.polytope(1, vertices=[[0.7], [-0.7]])
+        for C, want in [(Cone.orthant(1, 0), 1.4), (Cone.orthant(1, 1), 0.7),
+                        (Cone.halfspaces([[-1.0]]), 0.7)]:
+            v = volume_body_cone(K, C)
+            assert v.method == "interval"
+            assert v.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_grid_fallback_matches_exact_quadrant(self):
+        C = Cone.halfspaces([[1, 0], [0, 1]])
+        v = volume_body_cone(ConvexBody.pball(2, 2.0), C)
+        assert v.method == "grid"
+        assert v.value == pytest.approx(math.pi / 4, abs=1e-3)
+
+    @pytest.mark.parametrize("K,normals", [
+        (ConvexBody.box(1), [[1], [-1]]),
+        (ConvexBody.box(2), [[1, 0], [-1, 0]]),
+        (ConvexBody.pball(2, 2.0), [[1, 0], [-1, 0]]),
+        (ConvexBody.polytope(2, vertices=HEX_VERTS), [[1, 0], [-1, 0]]),
+    ], ids=["interval", "box", "disc", "hexagon"])
+    def test_empty_interior_rejected(self, K, normals):
+        with pytest.raises(GeometryError, match="empty interior"):
+            volume_body_cone(K, Cone.halfspaces(normals))
 
 
 class TestLayerCake:
@@ -202,7 +245,7 @@ class TestLayerCake:
     def test_grid_quadrature_matches_closed_form_box(self, h):
         K, C = ConvexBody.box(2), Cone.orthant(2, 1)
         mu = volume_body_cone(K, C).value
-        num = layer_cake_integral(K, C, h, "grid", n=256)
+        num = layer_cake_integral(K, C, h, n=256)
         assert num == pytest.approx(layer_cake_closed_form(K, C, h, mu),
                                     rel=5e-3)
 
@@ -212,16 +255,8 @@ class TestLayerCake:
         assert layer_cake_closed_form(K, C, 1.0, math.pi) == pytest.approx(
             2 * math.pi / 3
         )
-        num = layer_cake_integral(K, C, 1.0, "grid", n=512)
+        num = layer_cake_integral(K, C, 1.0, n=512)
         assert num == pytest.approx(2 * math.pi / 3, rel=2e-3)
-
-    def test_montecarlo_agrees(self):
-        K, C = ConvexBody.box(2), Cone.orthant(2, 0)
-        mu = 4.0
-        mc = layer_cake_integral(K, C, 1.0, "montecarlo", samples=400_000,
-                                 seed=4)
-        assert mc == pytest.approx(layer_cake_closed_form(K, C, 1.0, mu),
-                                   rel=1e-2)
 
     def test_zero_radius(self):
         K, C = ConvexBody.box(2), Cone.orthant(2, 0)

@@ -185,8 +185,7 @@ class TestFractionalWindows:
         cone = Cone.halfspaces([[1.0, 0.0], [0.0, 1.0]])
         nu = Charge(nu.density, cone, check_support=False)
         with pytest.raises(GeometryError, match="box body"):
-            deviation_sup(nu, SteklovParams.create(ConvexBody.box(2), cone, 0.5,
-                                                   mu=1.0))
+            deviation_sup(nu, SteklovParams.create(ConvexBody.box(2), cone, 0.5))
 
     @pytest.mark.parametrize("d,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
                                      (3, 1)])
