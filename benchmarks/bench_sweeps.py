@@ -24,7 +24,7 @@ the wall times of the calls that acceptance criteria 01 and 02 make, in
 process.  --src times another checkout's sources (say, the parent commit's
 `src`).  --lkbench adds lkbench result files under the same label, and once
 both labels hold runs of one workload and seed, the file gets a comparison
-as in bench_windows.py.
+as in bench_windows.py.  As there, the rows get no before/after ratio.
 """
 
 from __future__ import annotations
@@ -153,10 +153,6 @@ def criteria_seconds():
     return {"criterion01_s": crit01, "criterion02_s": time.perf_counter() - t0}
 
 
-def _speedups(before, after, key):
-    return {b["case"]: b[key] / a[key] for b, a in zip(before, after)}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -183,12 +179,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     bench = json.loads(out.read_text()) if out.exists() else {}
     bench.setdefault("environment", {})[args.label] = environment()
-    for part, rows, key in (("reductions", reductions, "median_ms"),
-                            ("sweeps", sweeps, "median_s")):
-        entry = bench.setdefault(part, {})
-        entry[args.label] = rows
-        if "before" in entry and "after" in entry:
-            entry["median_speedup"] = _speedups(entry["before"], entry["after"], key)
+    for part, rows in (("reductions", reductions), ("sweeps", sweeps)):
+        bench.setdefault(part, {})[args.label] = rows
     bench.setdefault("criteria", {})[args.label] = criteria
     if args.lkbench:
         lk = bench.setdefault("lkbench", {})

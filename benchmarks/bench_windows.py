@@ -37,7 +37,9 @@ layer-cake sweep (the same layer_cake_integral calls, in process).
 .lkbench_out/<workload>-seed<seed>-trace<0|1>.json) under the same label;
 once both labels hold runs of one workload and seed, the file also gets a
 comparison: per metric, the median and quartiles of each side and how many
-seed pairs the "after" side wins.
+seed pairs the "after" side wins.  The file holds no before/after ratio of the
+rows: each side's medians come from one process run at its own time, so
+their ratio would carry the host's speed phase as well as the change.
 """
 
 from __future__ import annotations
@@ -243,10 +245,6 @@ def environment():
             "machine": platform.machine()}
 
 
-def _speedups(before, after):
-    return {b["case"]: b["median_ms"] / a["median_ms"] for b, a in zip(before, after)}
-
-
 def _quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -341,10 +339,6 @@ def main(argv=None) -> int:
     gen[args.label] = {"rows": general}
     dev = bench.setdefault("deviation", {})
     dev[args.label] = {"rows": deviation}
-    for part in (kernel, gen, dev):
-        if "before" in part and "after" in part:
-            part["median_speedup"] = _speedups(part["before"]["rows"],
-                                               part["after"]["rows"])
     bench.setdefault("criterion01_s", {})[args.label] = crit
     if args.lkbench:
         lk = bench.setdefault("lkbench", {})

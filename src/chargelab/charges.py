@@ -66,7 +66,7 @@ class Charge:
     def __init__(self, density: GridField, cone: Cone, check_support: bool = True):
         if density.grid.d != cone.d:
             raise GeometryError("density grid and cone dimensions differ")
-        if cone.kind == "orthant" and cone.m > 0:
+        if cone.m > 0:
             if np.any(density.grid.lo[: cone.m] != 0.0):
                 raise GeometryError(
                     "orthant-constrained axes must start at 0 in the grid"
@@ -109,7 +109,7 @@ class Charge:
             return
         g = self.density.grid
         sp = g.spacing
-        m = self.cone.m if self.cone.kind == "orthant" else 0
+        m = self.cone.m
         for axis in range(g.d):
             if axis >= m and self._support_lo[axis] < g.lo[axis] + sp[axis] * 0.5:
                 raise GeometryError(
@@ -129,18 +129,13 @@ class Charge:
             self._prefix = windows.build_prefix(self.density.values)
         return self._prefix
 
-    def total(self) -> float:
-        return self.density.total()
-
     # -- window geometry ---------------------------------------------------
 
     def _window_bounds(self, K: ConvexBody, y: np.ndarray, h: float):
         """Per-axis bounds of the window y + hK∩C: exact for a box body with
         an orthant cone, the bounding box of y + hK otherwise."""
         r = h * K.bounding_radii()
-        lo = y - r
-        if self.cone.kind == "orthant":
-            lo = np.where(np.arange(self.cone.d) < self.cone.m, y, lo)
+        lo = np.where(np.arange(self.cone.d) < self.cone.m, y, y - r)
         return lo, y + r
 
     def _fast_path(self, K: ConvexBody) -> bool:
@@ -261,13 +256,12 @@ class Charge:
         return windows.lattice_window_sums(self.density.values, ind) * g.cell_volume
 
 
-def seminorm_Kh(nu: Charge, K: ConvexBody, h: float,
-                extra_candidates=()) -> SeminormResult:
+def seminorm_Kh(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
     """Sup over translate centers of |nu(y + hK∩C)|.
 
     Candidate centers are all grid cell centers, whose window values come
-    in one batch (Charge.window_values_all), plus the origin and any extra
-    candidates supplied; the extremal families attain the sup there.
+    in one batch (Charge.window_values_all), plus the origin, where the
+    extremal families attain the sup.
     """
     if h <= 0:
         raise GeometryError("h must be positive")
@@ -277,21 +271,20 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float,
     best = float(S.reshape(-1)[i])
     arg = g.flat_to_point(i)
     truncated = nu._truncation_flag(*nu._window_bounds(K, arg, h))
-    candidates = [np.zeros(g.d)] + [np.asarray(c, dtype=float) for c in extra_candidates]
-    for y in candidates:
-        wv = nu.window_value(K, y, h)
-        if abs(wv.value) > best:
-            best, arg, truncated = abs(wv.value), y, wv.truncated
-    return SeminormResult(best, np.asarray(arg, dtype=float), truncated)
+    origin = np.zeros(g.d)
+    wv = nu.window_value(K, origin, h)
+    if abs(wv.value) > best:
+        best, arg, truncated = abs(wv.value), origin, wv.truncated
+    return SeminormResult(best, arg, truncated)
 
 
 def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
-               refine_iters: int = 20, scan_points: int = 32,
                include_h=()) -> SeminormKResult:
     """sup_{h > 0} of the fixed-h seminorm.
 
-    Coarse log-spaced scan over (0, h_max] followed by golden-section
-    refinement around the best probe.  Ties are broken to the smallest h
+    A scan of 32 log-spaced probes over [h_max/100, h_max] plus the
+    include_h values, then 20 golden-section steps on log h between the
+    neighbours of the best probe.  Ties are broken to the smallest h
     achieving the supremum within 1e-9.  Requires h_max at least the
     gauge diameter of the support for the plateau argument to apply.
     """
@@ -299,7 +292,7 @@ def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
         raise GeometryError("h_max must be positive")
     if nu.is_zero:
         return SeminormKResult(0.0, h_max, flagged=True)
-    hs = list(np.geomspace(h_max / 100.0, h_max, scan_points))
+    hs = list(np.geomspace(h_max / 100.0, h_max, 32))
     hs.extend(float(h) for h in include_h if 0 < h <= h_max)
     hs = sorted(set(hs))
     vals = {h: seminorm_Kh(nu, K, h).value for h in hs}
@@ -308,10 +301,10 @@ def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
     i = hs.index(h_best)
     lo = hs[max(i - 1, 0)]
     hi = hs[min(i + 1, len(hs) - 1)]
-    if hi > lo and refine_iters > 0:
+    if hi > lo:
         t, fval = golden_min(
             lambda u: -seminorm_Kh(nu, K, math.exp(u)).value,
-            math.log(lo), math.log(hi), iters=refine_iters,
+            math.log(lo), math.log(hi), iters=20,
         )
         h_ref = math.exp(t)
         vals[h_ref] = -fval
@@ -332,7 +325,7 @@ def extremal_density(K: ConvexBody, C: Cone, h: float, grid: GridSpec) -> GridFi
         raise GeometryError("h must be positive")
     r = h * K.bounding_radii()
     for axis in range(grid.d):
-        lo_ok = grid.lo[axis] <= (0.0 if (C.kind == "orthant" and axis < C.m) else -r[axis])
+        lo_ok = grid.lo[axis] <= (0.0 if axis < C.m else -r[axis])
         if not (lo_ok and grid.hi[axis] >= r[axis]):
             raise GeometryError("grid does not cover the support hK∩C")
 
@@ -368,14 +361,6 @@ def extremal_charge(K: ConvexBody, C: Cone, h: float, grid: GridSpec) -> Charge:
 
 
 def grad_sup_polar(f: GridField, K: ConvexBody, C: Cone) -> float:
-    """Sup over the cone of the polar norm of the gradient of f.
-
-    Uses the analytic gradient callback when present; otherwise componentwise
-    central differences (one-sided at the boundary)."""
-    if f.grad_fn is not None:
-        return f.sup_abs("grad", transform=K.polar_norm_many, cone=C).value
-    grads = np.gradient(f.values, *[f.grid.axis_centers(i) for i in range(f.grid.d)])
-    if f.grid.d == 1:
-        grads = [grads]
-    G = np.stack([g.reshape(-1) for g in grads], axis=-1)
-    return float(np.max(K.polar_norm_many(G)))
+    """Sup over the cone of the polar norm of the gradient of f, from its
+    analytic gradient callback (GeometryError when f has none)."""
+    return f.sup_abs("grad", transform=K.polar_norm_many, cone=C).value

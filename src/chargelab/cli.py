@@ -48,7 +48,7 @@ from .inequalities import (
     sharpness_search,
 )
 from .report import format_float, write_csv, write_json
-from .steklov import MixedParams, SteklovParams, deviation_sup
+from .steklov import MixedParams, SteklovParams, deviation_sup, mixed_operator_norm
 from .stechkin import (
     ProblemSetting,
     omega,
@@ -228,8 +228,9 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
                 if m == 0
                 else extremal_mixed_m1(h, d, grid)
             )
-            att_N.append(2**m / h**d)
-            att_E.append(mixed_deviation_sup(f, MixedParams(d=d, m=m, h=h)))
+            p = MixedParams(d=d, m=m, h=h)
+            att_N.append(mixed_operator_norm(p))
+            att_E.append(mixed_deviation_sup(f, p))
     lines = ["N,E_measured"]
     for N, E in zip(att_N, att_E):
         lines.append(f"{format_float(N)},{format_float(E)}")
@@ -244,7 +245,7 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
              "kind": "points"},
         ],
         title="Best approximation error vs operator norm",
-        xlabel="N", ylabel="E_N", xlog=True, ylog=True,
+        xlabel="N", ylabel="E_N",
     )
 
     failures = []
@@ -345,7 +346,7 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
              "y": [r[4] for r in rows], "kind": "points"},
         ],
         title="Recovery error vs data accuracy",
-        xlabel="delta", ylabel="sup error", xlog=True, ylog=True,
+        xlabel="delta", ylabel="sup error",
     )
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 

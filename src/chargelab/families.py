@@ -185,46 +185,34 @@ def sum_fields(fields: list[GridField]) -> GridField:
     return out
 
 
-def _axis_bump(grid: GridSpec, axis: int, shrink: float = 0.88):
-    """Bump spanning most of the axis while leaving a support margin."""
+def _axis_bump(grid: GridSpec, axis: int):
+    """Bump over the middle 88% of the axis, leaving a support margin."""
     lo, hi = grid.lo[axis], grid.hi[axis]
-    return bump(0.5 * (lo + hi), 0.5 * (hi - lo) * shrink)
+    return bump(0.5 * (lo + hi), 0.5 * (hi - lo) * 0.88)
 
 
-def make_density(name: str, grid: GridSpec, cone: Cone, **params) -> GridField:
-    """Named built-in densities used by the CLI config."""
+def make_density(name: str, grid: GridSpec, cone: Cone, *,
+                 width: float = 1.0) -> GridField:
+    """Named built-in densities, each a separable product of a per-axis
+    factor and an axis bump: "gaussian" exp(-(x_i/width)^2), "sin"
+    sin(pi x_i) and "poly" x_i.  width applies to "gaussian" only."""
     if name == "gaussian":
-        center = params.get("center", [0.0] * grid.d)
-        width = params.get("width", 1.0)
-        amp = params.get("amp", 1.0)
-        comps = []
-        for i in range(grid.d):
-            g = gaussian_component(center[i], width, amp if i == 0 else 1.0)
-            comps.append(g * _axis_bump(grid, i))
-        return separable_field(grid, comps)
-    if name == "sin":
-        freq = params.get("freq", math.pi)
-        phase = params.get("phase", 0.0)
-        comps = [
-            sine_component(freq, phase) * _axis_bump(grid, i)
-            for i in range(grid.d)
-        ]
-        return separable_field(grid, comps)
-    if name == "poly":
-        coeffs = params.get("coeffs", [0.0, 1.0])
-        comps = [
-            poly_component(coeffs) * _axis_bump(grid, i) for i in range(grid.d)
-        ]
-        return separable_field(grid, comps)
-    raise GeometryError(f"unknown density family {name!r}")
+        factors = [gaussian_component(0.0, width) for _ in range(grid.d)]
+    elif name == "sin":
+        factors = [sine_component(math.pi) for _ in range(grid.d)]
+    elif name == "poly":
+        factors = [poly_component([0.0, 1.0]) for _ in range(grid.d)]
+    else:
+        raise GeometryError(f"unknown density family {name!r}")
+    return separable_field(
+        grid, [g * _axis_bump(grid, i) for i, g in enumerate(factors)])
 
 
 def random_separable_field(rng: np.random.Generator, grid: GridSpec,
-                           cone: Cone, terms: int | None = None) -> GridField:
+                           cone: Cone) -> GridField:
     """Random compactly supported smooth field (mixture of separable terms)."""
-    n_terms = int(terms or rng.integers(1, 4))
     fields = []
-    for _ in range(n_terms):
+    for _ in range(int(rng.integers(1, 4))):
         comps = []
         for i in range(grid.d):
             lo, hi = grid.lo[i], grid.hi[i]

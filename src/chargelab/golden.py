@@ -8,12 +8,11 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_min(f, a: float, b: float, iters: int = 60, tol: float = 0.0):
+def golden_min(f, a: float, b: float, iters: int):
     """Return (x, f(x)) near the minimizer of a unimodal f on [a, b].
 
-    Runs a fixed number of golden-section steps (or stops early once the
-    bracket is below tol).  On non-unimodal inputs it still converges to a
-    local minimum inside the bracket.
+    Runs `iters` golden-section steps.  On non-unimodal inputs it still
+    converges to a local minimum inside the bracket.
     """
     a, b = min(a, b), max(a, b)
     h = b - a
@@ -24,8 +23,6 @@ def golden_min(f, a: float, b: float, iters: int = 60, tol: float = 0.0):
     yc = f(c)
     yd = f(d)
     for _ in range(iters):
-        if h <= tol:
-            break
         if yc < yd:
             b, d, yd = d, c, yc
             h = INV_PHI * h

@@ -196,9 +196,6 @@ class GridField:
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values))) * self.grid.cell_volume
 
-    def total(self) -> float:
-        return float(np.sum(self.values)) * self.grid.cell_volume
-
     def scaled(self, factor: float) -> "GridField":
         def wrap(fn):
             if fn is None:

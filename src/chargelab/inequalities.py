@@ -30,7 +30,14 @@ from .geometry import ConvexBody, Cone, GeometryError
 from .golden import golden_min
 from .grids import GridField, GridSpec
 from .report import InequalityReport
-from .steklov import MixedParams, SteklovParams, deviation_sup, steklov_norm
+from .steklov import (
+    MixedParams,
+    SteklovParams,
+    deviation_sup,
+    mixed_operator_apply,
+    mixed_operator_norm,
+    steklov_norm,
+)
 
 __all__ = [
     "lk_additive_charge",
@@ -70,7 +77,7 @@ def lk_additive_charge(nu: Charge, K: ConvexBody, C: Cone, h: float,
     rep = InequalityReport(
         case="lk-additive-charge",
         d=d,
-        m=C.m if C.kind == "orthant" else 0,
+        m=C.m,
         h=h,
         grid=nu.density.grid.key(),
         lhs=lhs,
@@ -119,7 +126,7 @@ def lk_multiplicative_charge(nu: Charge, K: ConvexBody, C: Cone,
     rep = InequalityReport(
         case="lk-multiplicative-charge",
         d=d,
-        m=C.m if C.kind == "orthant" else 0,
+        m=C.m,
         h=semK.h_opt,
         grid=nu.density.grid.key(),
         lhs=lhs,
@@ -146,7 +153,7 @@ def nagy_inequality(f: GridField, K: ConvexBody, C: Cone, h: float,
     rep = InequalityReport(
         case="nagy",
         d=d,
-        m=C.m if C.kind == "orthant" else 0,
+        m=C.m,
         h=h,
         grid=f.grid.key(),
         lhs=lhs,
@@ -161,9 +168,9 @@ def nagy_inequality(f: GridField, K: ConvexBody, C: Cone, h: float,
     return rep
 
 
-def minimize_additive_bound(gradsup: float, sem: float, mu: float, d: int,
-                            iters: int = 200):
-    """Golden-section minimum over h of (dh/(d+1))*gradsup + sem/(h^d mu).
+def minimize_additive_bound(gradsup: float, sem: float, mu: float, d: int):
+    """Golden-section minimum over h of (dh/(d+1))*gradsup + sem/(h^d mu),
+    200 steps over log h in [log h0 - 5, log h0 + 5] around the closed form.
 
     Returns (h_star, value); the closed-form minimizer is
     ((d+1) sem / (mu gradsup))^(1/(d+1)) and the minimum equals the
@@ -177,7 +184,7 @@ def minimize_additive_bound(gradsup: float, sem: float, mu: float, d: int,
         return d * h / (d + 1) * gradsup + sem / (h**d * mu)
 
     h0 = ((d + 1) * sem / (mu * gradsup)) ** (1.0 / (d + 1))
-    t, val = golden_min(bound, math.log(h0) - 5.0, math.log(h0) + 5.0, iters=iters)
+    t, val = golden_min(bound, math.log(h0) - 5.0, math.log(h0) + 5.0, iters=200)
     return math.exp(t), val
 
 
@@ -198,26 +205,15 @@ def mixed_deviation_sup(f: GridField, p: MixedParams) -> float:
     evaluated from the analytic callbacks."""
     if f.mixed_fn is None or f.value_fn is None:
         raise GeometryError("mixed deviation needs value and mixed callbacks")
-    from .steklov import _corner_terms
-
-    terms = list(_corner_terms(p))
-    scale = 1.0 / (2 ** (p.d - p.m) * p.h**p.d)
-
-    def sbar(pts):
-        acc = np.zeros(pts.shape[0])
-        for off, sign in terms:
-            acc += sign * f.value_fn(pts + off[None, :])
-        return acc * scale
-
     best = 0.0
     for _, pts in f.grid.iter_center_chunks():
-        dev = np.abs(f.mixed_fn(pts) - sbar(pts))
+        dev = np.abs(f.mixed_fn(pts) - mixed_operator_apply(f, p, pts))
         best = max(best, float(dev.max()))
     for cand in [np.zeros(p.d)] + list(f.sup_candidates):
-        cand = np.asarray(cand, dtype=float)
-        if not p.cone.member_closure(cand):
+        X = np.asarray(cand, dtype=float)[None, :]
+        if not p.cone.member_closure(X[0]):
             continue
-        v = abs(float(f.mixed_fn(cand[None, :])[0]) - float(sbar(cand[None, :])[0]))
+        v = abs(float(f.mixed_fn(X)[0]) - float(mixed_operator_apply(f, p, X)[0]))
         best = max(best, v)
     return best
 
@@ -227,7 +223,7 @@ def lk_additive_mixed(f: GridField, p: MixedParams,
     """Additive bound on the full mixed derivative, with the refined chain
     through the composed-difference operator."""
     lhs, gsup, fsup = _mixed_sups(f, p)
-    opnorm = 2**p.m / p.h**p.d
+    opnorm = mixed_operator_norm(p)
     middle = mixed_deviation_sup(f, p) + opnorm * fsup
     rep = InequalityReport(
         case="lk-additive-mixed",
@@ -318,6 +314,30 @@ def _signed_antiderivative(X: np.ndarray, h: float) -> np.ndarray:
     return sign * box_corner_integral(np.abs(X), h)
 
 
+def _shifted_antiderivative(X: np.ndarray, h: float, shifts) -> np.ndarray:
+    """Nested integral of (h - |u|_inf)_+ over the box between the lower
+    limits and the rows of X: from shifts[i] to max(x_i, 0) on the first
+    m = len(shifts) axes, from 0 to x_i on the others.  An alternating sum
+    of _signed_antiderivative over the 2^m corners."""
+    X = np.asarray(X, dtype=float)
+    m = len(shifts)
+    acc = None
+    for sub in itertools.product((0, 1), repeat=m):
+        Z = X.copy()
+        for i, bit in enumerate(sub):
+            if bit:
+                Z[:, i] = shifts[i]
+        Z[:, :m] = np.clip(Z[:, :m], 0.0, None)
+        term = _signed_antiderivative(Z, h)
+        if acc is None:
+            acc = term
+        elif sum(sub) % 2:
+            acc -= term
+        else:
+            acc += term
+    return acc
+
+
 def extremal_mixed_m0(h: float, d: int, grid: GridSpec) -> GridField:
     """Antiderivative of the extremal density; equality case for m = 0.
 
@@ -328,7 +348,7 @@ def extremal_mixed_m0(h: float, d: int, grid: GridSpec) -> GridField:
         ConvexBody.box(d), Cone.orthant(d, 0), h)
     fld = GridField.from_callback(
         grid,
-        lambda pts: _signed_antiderivative(pts, h),
+        lambda pts: _shifted_antiderivative(pts, h, ()),
         mixed_fn=mixed_fn,
         mixed_grad_fn=mixed_grad_fn,
     )
@@ -362,28 +382,19 @@ def split_point(h: float, d: int) -> float:
     return float(a)
 
 
-def extremal_mixed_m1(h: float, d: int, grid: GridSpec,
-                      a: float | None = None) -> GridField:
+def extremal_mixed_m1(h: float, d: int, grid: GridSpec) -> GridField:
     """Split-point antiderivative; equality case for m = 1.
 
+    The first axis integrates from the split point a = split_point(h, d).
     sup|g| = h^(d+1)/(2(d+1)); the mixed derivative is the extremal density
     restricted to the cone.
     """
-    if a is None:
-        a = split_point(h, d)
+    a = split_point(h, d)
     mixed_fn, mixed_grad_fn = _extremal_callbacks(
         ConvexBody.box(d), Cone.orthant(d, 1), h)
-
-    def value_fn(pts):
-        pts = np.asarray(pts, dtype=float)
-        upper = pts.copy()
-        upper[:, 0] = np.clip(upper[:, 0], 0.0, None)
-        lower = upper.copy()
-        lower[:, 0] = a
-        return _signed_antiderivative(upper, h) - _signed_antiderivative(lower, h)
-
     fld = GridField.from_callback(
-        grid, value_fn, mixed_fn=mixed_fn, mixed_grad_fn=mixed_grad_fn
+        grid, lambda pts: _shifted_antiderivative(pts, h, (a,)),
+        mixed_fn=mixed_fn, mixed_grad_fn=mixed_grad_fn,
     )
     start = np.zeros(d)
     start[0] = a
@@ -402,39 +413,18 @@ class SharpnessResult:
     exploratory: bool = True
 
 
-def _shifted_sup(h: float, d: int, m: int, shifts: np.ndarray,
-                 lattice: int = 33) -> float:
+def _shifted_sup(h: float, d: int, m: int, shifts: np.ndarray) -> float:
     """Sup of |g_s| where g_s integrates the extremal density from shifted
-    lower limits on the first m axes; lattice scan + coordinate refinement."""
-
-    subsets = list(itertools.product((0, 1), repeat=m))
-
-    def g_many(X):
-        X = np.asarray(X, dtype=float)
-        acc = np.zeros(X.shape[0])
-        for sub in subsets:
-            Z = X.copy()
-            for i, bit in enumerate(sub):
-                if bit:
-                    Z[:, i] = shifts[i]
-            sign = -1.0 if sum(sub) % 2 else 1.0
-            Z[:, :m] = np.clip(Z[:, :m], 0.0, None)
-            acc += sign * _signed_antiderivative(Z, h)
-        return acc
-
-    axes = []
-    for i in range(d):
-        if i < m:
-            axes.append(np.linspace(0.0, h, lattice))
-        else:
-            axes.append(np.linspace(-h, h, lattice))
+    lower limits on the first m axes (_shifted_antiderivative); scan of a
+    33-point-per-axis lattice, then coordinate refinement."""
+    axes = [np.linspace(0.0 if i < m else -h, h, 33) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([t.ravel() for t in mesh], axis=-1)
-    vals = np.abs(g_many(pts))
+    vals = np.abs(_shifted_antiderivative(pts, h, shifts))
     j = int(np.argmax(vals))
     best_x = pts[j].copy()
     # coordinate-wise golden ascent around the lattice argmax
-    step = h / (lattice - 1)
+    step = h / 32
     for _ in range(2):
         for i in range(d):
             lo = best_x[i] - 2 * step
@@ -445,11 +435,12 @@ def _shifted_sup(h: float, d: int, m: int, shifts: np.ndarray,
             def neg(t, _i=i):
                 x = best_x.copy()
                 x[_i] = t
-                return -abs(float(g_many(x[None, :])[0]))
+                return -abs(float(
+                    _shifted_antiderivative(x[None, :], h, shifts)[0]))
 
             t, _ = golden_min(neg, lo, hi, iters=40)
             best_x[i] = t
-    return abs(float(g_many(best_x[None, :])[0]))
+    return abs(float(_shifted_antiderivative(best_x[None, :], h, shifts)[0]))
 
 
 def sharpness_search(d: int, m: int, h: float = 1.0, budget: int = 40,

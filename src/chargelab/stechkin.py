@@ -56,8 +56,7 @@ class ProblemSetting:
 
     @classmethod
     def charge(cls, K: ConvexBody, C: Cone) -> "ProblemSetting":
-        m = C.m if C.kind == "orthant" else 0
-        return cls(kind="charge", d=K.d, m=m, mu=volume_body_cone(K, C).value,
+        return cls(kind="charge", d=K.d, m=C.m, mu=volume_body_cone(K, C).value,
                    K=K, C=C)
 
     @classmethod
@@ -108,12 +107,12 @@ def optimal_h_for_N(setting: ProblemSetting, N: float) -> float:
     return (2**setting.m / N) ** (1.0 / d)
 
 
-def sandwich_check(setting: ProblemSetting, deltas, rel_tol: float = 1e-6,
-                   n_grid: int = 64):
+def sandwich_check(setting: ProblemSetting, deltas, rel_tol: float = 1e-6):
     """For each delta: inf_N {E_N + N*delta} vs omega(delta).
 
-    The infimum is taken over a log-spaced N grid followed by golden-section
-    refinement.  Returns (rows, ok) where each row records both sides.
+    The infimum is taken over 64 log-spaced N in [1e-3/mu, 1e3/mu] followed
+    by 80 golden-section steps between the neighbours of the best.  Returns
+    (rows, ok) where each row records both sides.
     """
     rows = []
     ok = True
@@ -126,11 +125,11 @@ def sandwich_check(setting: ProblemSetting, deltas, rel_tol: float = 1e-6,
 
         lo = math.log(1e-3 / setting.mu)
         hi = math.log(1e3 / setting.mu)
-        grid = np.linspace(lo, hi, n_grid)
+        grid = np.linspace(lo, hi, 64)
         vals = [bound(t) for t in grid]
         j = int(np.argmin(vals))
         a = grid[max(j - 1, 0)]
-        b = grid[min(j + 1, n_grid - 1)]
+        b = grid[min(j + 1, len(grid) - 1)]
         t, best = golden_min(bound, a, b, iters=80)
         om = omega(setting, delta)
         rel = abs(best - om) / om

@@ -71,7 +71,6 @@ def steklov_apply(nu: Charge, p: SteklovParams, x) -> float:
 
 def _valid_window_mask(grid: GridSpec, cone: Cone, h: float, radii) -> np.ndarray:
     """Boolean array over grid centers whose full window lies in the grid."""
-    m = cone.m if cone.kind == "orthant" else 0
     axes_ok = []
     for axis in range(grid.d):
         c = grid.axis_centers(axis)
@@ -79,7 +78,7 @@ def _valid_window_mask(grid: GridSpec, cone: Cone, h: float, radii) -> np.ndarra
         hi_ok = c + r <= grid.hi[axis] + 1e-12
         lo_ok = (
             np.ones_like(c, dtype=bool)
-            if axis < m
+            if axis < cone.m
             else c - r >= grid.lo[axis] - 1e-12
         )
         axes_ok.append(hi_ok & lo_ok)
@@ -161,12 +160,6 @@ def _steps_for(grid: GridSpec, axis: int, h: float) -> int:
     return int(round(k))
 
 
-def _shift_callback(fn, offset: np.ndarray):
-    if fn is None:
-        return None
-    return lambda pts, _fn=fn, _o=offset: _fn(pts + _o[None, :])
-
-
 def _diff_field(f: GridField, axis: int, h: float, centered: bool) -> GridField:
     k = _steps_for(f.grid, axis, h)
     n = f.grid.shape[axis]
@@ -222,8 +215,9 @@ def diff_central(f: GridField, axis: int, h: float) -> GridField:
 
 @dataclass(frozen=True)
 class MixedParams:
-    """Box body (-1,1)^d with orthant cone R^m_+ x R^(d-m); mu = 2^(d-m) from
-    geometry.volume_body_cone."""
+    """Box body (-1,1)^d with orthant cone R^m_+ x R^(d-m) and step h; the
+    composed-difference operator it defines has norm 2^m/h^d
+    (mixed_operator_norm)."""
 
     d: int
     m: int
@@ -243,17 +237,15 @@ class MixedParams:
     def cone(self) -> Cone:
         return Cone.orthant(self.d, self.m)
 
-    @property
-    def mu(self) -> float:
-        return volume_body_cone(self.body, self.cone).value
-
-    def steklov(self) -> SteklovParams:
-        return SteklovParams(K=self.body, C=self.cone, h=self.h, mu=self.mu)
-
 
 def mixed_operator_norm(p: MixedParams) -> float:
     """Operator norm 2^m / h^d."""
     return 2**p.m / p.h**p.d
+
+
+def _mixed_scale(p: MixedParams) -> float:
+    """The composed differences' averaging factor 1/(2^(d-m) h^d)."""
+    return 1.0 / (2 ** (p.d - p.m) * p.h**p.d)
 
 
 def _corner_terms(p: MixedParams):
@@ -270,15 +262,16 @@ def _corner_terms(p: MixedParams):
         yield off, sign
 
 
-def mixed_operator_apply(f: GridField, p: MixedParams, x) -> float:
-    """Composed-difference average at a point, via the value callback."""
+def mixed_operator_apply(f: GridField, p: MixedParams,
+                         X: np.ndarray) -> np.ndarray:
+    """Composed-difference average at the rows of the (N, d) array X, via
+    the value callback."""
     if f.value_fn is None:
         raise GeometryError("pointwise mixed operator needs a value callback")
-    x = np.asarray(x, dtype=float)
-    acc = 0.0
+    acc = np.zeros(X.shape[0])
     for off, sign in _corner_terms(p):
-        acc += sign * float(f.value_fn((x + off)[None, :])[0])
-    return acc / (2 ** (p.d - p.m) * p.h**p.d)
+        acc += sign * f.value_fn(X + off[None, :])
+    return acc * _mixed_scale(p)
 
 
 def mixed_operator_field(f: GridField, p: MixedParams) -> GridField:
@@ -288,7 +281,7 @@ def mixed_operator_field(f: GridField, p: MixedParams) -> GridField:
         out = (
             diff_forward(out, i, p.h) if i < p.m else diff_central(out, i, p.h)
         )
-    return out.scaled(1.0 / (2 ** (p.d - p.m) * p.h**p.d))
+    return out.scaled(_mixed_scale(p))
 
 
 def fubini_residual(f: GridField, p: MixedParams, x) -> float:
@@ -302,6 +295,7 @@ def fubini_residual(f: GridField, p: MixedParams, x) -> float:
         raise GeometryError("fubini check needs value and mixed callbacks")
     mixed = GridField.from_callback(f.grid, f.mixed_fn)
     nu = Charge(mixed, p.cone, check_support=False)
-    integral = nu.window_value(p.body, np.asarray(x, dtype=float), p.h).value
-    diffs = mixed_operator_apply(f, p, x) * (2 ** (p.d - p.m) * p.h**p.d)
+    x = np.asarray(x, dtype=float)
+    integral = nu.window_value(p.body, x, p.h).value
+    diffs = mixed_operator_apply(f, p, x[None, :])[0] / _mixed_scale(p)
     return abs(integral - diffs)

@@ -1,6 +1,6 @@
 """Hand-emitted SVG line/point charts (no plotting dependency).
 
-Fixed 800x600 viewBox; linear or log axes with decade ticks.  Output is
+Fixed 800x600 viewBox; log-log axes with decade ticks.  Output is
 deterministic, so rendered files can serve as diffable goldens.
 """
 
@@ -16,59 +16,36 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 class _Axis:
-    def __init__(self, values, log: bool, pix_lo: float, pix_hi: float):
-        vals = [v for v in values if not log or v > 0]
+    """Log axis over the positive values, with decade ticks."""
+
+    def __init__(self, values, pix_lo: float, pix_hi: float):
+        vals = [v for v in values if v > 0]
         if not vals:
             vals = [1.0, 10.0]
-        lo, hi = min(vals), max(vals)
-        if log:
-            lo_e = math.floor(math.log10(lo))
-            hi_e = math.ceil(math.log10(hi))
-            if hi_e == lo_e:
-                hi_e += 1
-            self.lo, self.hi = lo_e, hi_e
-            self.ticks = [(10.0**e, f"1e{e:d}") for e in range(lo_e, hi_e + 1)]
-        else:
-            if hi == lo:
-                hi = lo + 1.0
-            span = hi - lo
-            step = 10 ** math.floor(math.log10(span / 4))
-            for mult in (1, 2, 5, 10):
-                if span / (step * mult) <= 6:
-                    step *= mult
-                    break
-            t0 = math.floor(lo / step) * step
-            self.lo, self.hi = t0, math.ceil(hi / step) * step
-            self.ticks = []
-            t = t0
-            while t <= self.hi + 1e-12 * step:
-                self.ticks.append((t, _fmt(t)))
-                t += step
-        self.log = log
+        self.lo = math.floor(math.log10(min(vals)))
+        self.hi = math.ceil(math.log10(max(vals)))
+        if self.hi == self.lo:
+            self.hi += 1
+        self.ticks = [(10.0**e, f"1e{e:d}") for e in range(self.lo, self.hi + 1)]
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def pix(self, v: float) -> float:
-        t = math.log10(v) if self.log else v
-        frac = (t - self.lo) / (self.hi - self.lo)
+        frac = (math.log10(v) - self.lo) / (self.hi - self.lo)
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
-def render_plot(path, series, *, title="", xlabel="", ylabel="",
-                xlog=False, ylog=False) -> None:
-    """Write an SVG chart.
+def render_plot(path, series, *, title="", xlabel="", ylabel="") -> None:
+    """Write an SVG chart with log-log axes.
 
     series: list of dicts with keys x (list), y (list), label (str) and
-    kind ("line" or "points").
+    kind ("line" or "points").  Points with a nonpositive coordinate are
+    not drawn.
     """
     xs = [v for s in series for v in s["x"]]
     ys = [v for s in series for v in s["y"]]
-    ax = _Axis(xs, xlog, MARGIN_L, WIDTH - MARGIN_R)
-    ay = _Axis(ys, ylog, HEIGHT - MARGIN_B, MARGIN_T)
+    ax = _Axis(xs, MARGIN_L, WIDTH - MARGIN_R)
+    ay = _Axis(ys, HEIGHT - MARGIN_B, MARGIN_T)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -116,7 +93,7 @@ def render_plot(path, series, *, title="", xlabel="", ylabel="",
         pts = [
             (ax.pix(x), ay.pix(y))
             for x, y in zip(s["x"], s["y"])
-            if (not xlog or x > 0) and (not ylog or y > 0)
+            if x > 0 and y > 0
         ]
         if s.get("kind", "line") == "line":
             poly = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)

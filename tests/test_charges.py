@@ -227,6 +227,12 @@ class TestExtremalFamily:
         assert res.value == pytest.approx(want, rel=2e-4)
         assert res.h_opt == pytest.approx(h, rel=0.05)
 
+    def test_gradient_sup_needs_the_callback(self):
+        K, C, grid = box_setting(1, 0, 1.0, 32)
+        f = GridField(grid=grid, values=extremal_density(K, C, 1.0, grid).values)
+        with pytest.raises(GeometryError, match="no analytic grad callback"):
+            grad_sup_polar(f, K, C)
+
     def test_ball_body_extremal_gradient_unit_polar(self):
         K = ConvexBody.pball(2, 2.0)
         C = Cone.orthant(2, 0)
@@ -363,6 +369,11 @@ class TestFamilies:
         C = Cone.orthant(2, 0)
         f = make_density("gaussian", grid, C)
         Charge(f, C)  # margin assertion passes
+
+    def test_unknown_keyword_rejected(self):
+        grid = GridSpec.for_cone(2, 0, 2.0, 16)
+        with pytest.raises(TypeError):
+            make_density("gaussian", grid, Cone.orthant(2, 0), widht=0.8)
 
     def test_gradient_callback_against_finite_differences(self):
         grid = GridSpec.for_cone(2, 0, 2.0, 32)

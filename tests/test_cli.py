@@ -7,6 +7,7 @@ import pytest
 
 from chargelab.cli import main
 from chargelab.report import InequalityReport, format_float, write_csv
+from chargelab.svgplot import render_plot
 
 
 def run(args):
@@ -166,6 +167,24 @@ class TestOtherCommands:
         )
         assert summary["exploratory"] is True
         assert summary["best_ratio"] <= 1 + 1e-6
+
+    def test_plot_log_axes(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        path = tmp_path / "p.svg"
+        render_plot(path, [
+            {"label": "line", "x": [0.05, 1.0, 20.0], "y": [0.3, 1.0, 3.0],
+             "kind": "line"},
+            {"label": "pts", "x": [0.1, 1.0, 5.0], "y": [0.5, 0.0, 2.0],
+             "kind": "points"},
+        ])
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        x_labels = [t.text for t in root.iter(ns + "text")
+                    if t.get("y") == "560" and t.get("text-anchor") == "middle"]
+        assert x_labels == ["1e-2", "1e-1", "1e0", "1e1", "1e2"]
+        # the point with y = 0 has no place on a log axis
+        assert len(list(root.iter(ns + "circle"))) == 2
 
     def test_console_entry_point(self, tmp_path):
         out = subprocess.run(

@@ -263,7 +263,7 @@ class TestMixedOperator:
             idx = tuple(int(rng.integers(s)) for s in out.grid.shape)
             x = np.array([out.grid.axis_centers(k)[idx[k]] for k in range(d)])
             assert out.values[idx] == pytest.approx(
-                mixed_operator_apply(f, p, x), abs=1e-10
+                mixed_operator_apply(f, p, x[None, :])[0], abs=1e-10
             )
 
     def test_averages_mixed_derivative_of_linear_product(self):
