@@ -2,15 +2,17 @@
 
 A charge is an absolutely continuous set function nu(Q) = integral of a
 density over Q, evaluated by midpoint quadrature on the density's grid.
-The central primitive is the window value nu(y + hK∩C).  Its values at every
-grid center come from the prefix-sum engine for box bodies with orthant
-cones, and from one lattice correlation of the density with the indicator
-of hK∩C for every other body and cone; a single window off the lattice
-(the origin, say) is summed through a direct membership mask.  For box
-bodies with orthant cones the prefix table also gives fractional windows,
-where cells cut by a face count with the fraction inside.  On top of it sit
-the two seminorms: the sup over translates at fixed h, and its supremum
-over all h > 0.
+The central primitive is the window value nu(y + hK∩C), and this module
+makes every decision about windows: their per-axis extent, whether they lie
+inside the grid (Charge.full_windows), and which engine sums them
+(box_path).  The values at every grid center come from the prefix-sum
+engine for box bodies with orthant cones, and from one lattice correlation
+of the density with the indicator of hK∩C for every other body and cone; a
+single window off the lattice (the origin, say) is summed through a direct
+membership mask.  For box bodies with orthant cones the prefix table also
+gives fractional windows, where cells cut by a face count with the fraction
+inside.  On top of it sit the two seminorms: the sup over translates at
+fixed h, and its supremum over all h > 0.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .grids import GridField, GridSpec
 from .golden import golden_min
 
 __all__ = [
+    "box_path",
     "Charge",
     "WindowValue",
     "SeminormResult",
@@ -57,7 +60,13 @@ class SeminormResult:
 class SeminormKResult:
     value: float
     h_opt: float
-    flagged: bool
+
+
+def box_path(K: ConvexBody, C: Cone) -> bool:
+    """Whether the windows of (K, C) take the prefix table: a box body with
+    an orthant cone.  Every other pair correlates, and has no fractional
+    windows."""
+    return K.is_box and C.kind == "orthant"
 
 
 class Charge:
@@ -131,26 +140,43 @@ class Charge:
 
     # -- window geometry ---------------------------------------------------
 
-    def _window_bounds(self, K: ConvexBody, y: np.ndarray, h: float):
-        """Per-axis bounds of the window y + hK∩C: exact for a box body with
-        an orthant cone, the bounding box of y + hK otherwise."""
+    def _window_bounds(self, K: ConvexBody, h: float, centers=None):
+        """Per-axis ends of the windows y + hK∩C: exact for a box body with
+        an orthant cone, the bounding box of y + hK otherwise.  For one
+        point y, the ends of its window; for centers=None, per axis the ends
+        of the windows at every grid center's coordinate along that axis."""
+        if centers is None:
+            g = self.density.grid
+            centers = [g.axis_centers(axis) for axis in range(g.d)]
         r = h * K.bounding_radii()
-        lo = np.where(np.arange(self.cone.d) < self.cone.m, y, y - r)
-        return lo, y + r
+        m = self.cone.m
+        return ([c if k < m else c - r[k] for k, c in enumerate(centers)],
+                [c + r[k] for k, c in enumerate(centers)])
+
+    def _inside_grid(self, wlo, whi) -> list:
+        """Per axis, whether the window ends lie inside the sampled region."""
+        g = self.density.grid
+        return [(a >= lo - 1e-12) & (b <= hi + 1e-12)
+                for a, b, lo, hi in zip(wlo, whi, g.lo, g.hi)]
+
+    def full_windows(self, K: ConvexBody, h: float) -> np.ndarray:
+        """Boolean array over grid centers whose window y + hK∩C (its
+        per-axis ends) lies fully inside the sampled region."""
+        ok = self._inside_grid(*self._window_bounds(K, h))
+        mask = ok[0]
+        for a in ok[1:]:
+            mask = np.multiply.outer(mask, a)
+        return mask.reshape(self.density.grid.shape)
 
     def _fast_path(self, K: ConvexBody) -> bool:
-        return K.is_box and self.cone.kind == "orthant"
+        return box_path(K, self.cone)
 
     def _truncation_flag(self, wlo, whi) -> bool:
-        if self._support_lo is None:
+        if self._support_lo is None or all(self._inside_grid(wlo, whi)):
             return False
-        g = self.density.grid
-        escapes = np.any(wlo < g.lo - 1e-12) or np.any(whi > g.hi + 1e-12)
-        if not escapes:
-            return False
-        sp = g.spacing
-        near = np.all(whi > self._support_lo - sp) and np.all(
-            wlo < self._support_hi + sp
+        sp = self.density.grid.spacing
+        near = np.all(np.asarray(whi) > self._support_lo - sp) and np.all(
+            np.asarray(wlo) < self._support_hi + sp
         )
         return bool(near)
 
@@ -172,10 +198,13 @@ class Charge:
         if method in ("prefix", "overlap"):
             if not self._fast_path(K):
                 raise GeometryError(f"{method} path needs box body + orthant cone")
-            wlo, whi = self._window_bounds(K, y, h)
+            wlo, whi = self._window_bounds(K, h, y)
             if method == "overlap":
-                s = self._fractional_sums(wlo[:, None], whi[:, None])
+                s = self._box_sums([np.array([a]) for a in wlo],
+                                   [np.array([b]) for b in whi], fractional=True)
             else:
+                # the scalar index_range: a one-element batch costs about
+                # 17 times as much per axis
                 ranges = [windows.index_range(g.lo[k], g.spacing[k], g.shape[k],
                                               wlo[k], whi[k]) for k in range(g.d)]
                 i0s, i1s = ([np.array([r[j]]) for r in ranges] for j in (0, 1))
@@ -189,8 +218,8 @@ class Charge:
                 inside = (K.gauge_many(u) < h) & self.cone.member_many(u)
                 if inside.any():
                     total += float(flat[sl][inside].sum())
-            wlo, whi = self._window_bounds(K, y, h)
-            return WindowValue(total * g.cell_volume, self._truncation_flag(wlo, whi))
+            return WindowValue(total * g.cell_volume,
+                               self._truncation_flag(*self._window_bounds(K, h, y)))
         raise GeometryError(f"unknown window method {method!r}")
 
     def window_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
@@ -204,23 +233,8 @@ class Charge:
         if h <= 0:
             raise GeometryError("h must be positive")
         if self._fast_path(K):
-            return self._prefix_values_all(K, h)
+            return self._box_sums(*self._window_bounds(K, h))
         return self._correlation_values_all(K, h)
-
-    def _prefix_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
-        g = self.density.grid
-        m = self.cone.m
-        i0s, i1s = [], []
-        for axis in range(g.d):
-            c = g.axis_centers(axis)
-            a = c if axis < m else c - h
-            b = c + h
-            i0, i1 = windows.index_ranges_batch(
-                g.lo[axis], g.spacing[axis], g.shape[axis], a, b
-            )
-            i0s.append(i0)
-            i1s.append(i1)
-        return windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
 
     def fractional_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
         """nu(y + hK∩C) for y at every grid center, cells cut by a window's
@@ -230,19 +244,22 @@ class Charge:
             raise GeometryError("h must be positive")
         if not self._fast_path(K):
             raise GeometryError("fractional windows need box body + orthant cone")
-        g = self.density.grid
-        c = [g.axis_centers(axis) for axis in range(g.d)]
-        return self._fractional_sums(
-            [ca if axis < self.cone.m else ca - h for axis, ca in enumerate(c)],
-            [ca + h for ca in c])
+        return self._box_sums(*self._window_bounds(K, h), fractional=True)
 
-    def _fractional_sums(self, wlos, whis) -> np.ndarray:
-        """Exact integrals of the density over the boxes with per-axis
-        bounds [wlos[k], whis[k]], cut to the grid, one per combination."""
+    def _box_sums(self, wlos, whis, fractional: bool = False) -> np.ndarray:
+        """nu over the boxes with per-axis ends [wlos[k], whis[k]], one per
+        combination, from the prefix table: strict boxes count the cells
+        whose centers lie inside, fractional ones also the cells cut by a
+        face, with the fraction inside (the exact integral)."""
         g = self.density.grid
-        t0s = [(a - lo) / sp for a, lo, sp in zip(wlos, g.lo, g.spacing)]
-        t1s = [(b - lo) / sp for b, lo, sp in zip(whis, g.lo, g.spacing)]
-        return windows.box_window_sums(self.prefix(), t0s, t1s) * g.cell_volume
+        if fractional:
+            i0s = [(a - lo) / sp for a, lo, sp in zip(wlos, g.lo, g.spacing)]
+            i1s = [(b - lo) / sp for b, lo, sp in zip(whis, g.lo, g.spacing)]
+        else:
+            i0s, i1s = zip(*(windows.index_ranges_batch(lo, sp, n, a, b)
+                             for lo, sp, n, a, b
+                             in zip(g.lo, g.spacing, g.shape, wlos, whis)))
+        return windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
 
     def _correlation_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
         g = self.density.grid
@@ -270,7 +287,7 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
     i = int(np.argmax(S))
     best = float(S.reshape(-1)[i])
     arg = g.flat_to_point(i)
-    truncated = nu._truncation_flag(*nu._window_bounds(K, arg, h))
+    truncated = nu._truncation_flag(*nu._window_bounds(K, h, arg))
     origin = np.zeros(g.d)
     wv = nu.window_value(K, origin, h)
     if abs(wv.value) > best:
@@ -291,7 +308,7 @@ def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
     if h_max <= 0:
         raise GeometryError("h_max must be positive")
     if nu.is_zero:
-        return SeminormKResult(0.0, h_max, flagged=True)
+        return SeminormKResult(0.0, h_max)
     hs = list(np.geomspace(h_max / 100.0, h_max, 32))
     hs.extend(float(h) for h in include_h if 0 < h <= h_max)
     hs = sorted(set(hs))
@@ -312,7 +329,7 @@ def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
     best = max(vals.values())
     tol = 1e-9 * (1.0 + abs(best))
     h_opt = min(h for h in hs if vals[h] >= best - tol)
-    return SeminormKResult(best, h_opt, flagged=False)
+    return SeminormKResult(best, h_opt)
 
 
 # -- the extremal density -------------------------------------------------

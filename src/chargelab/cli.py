@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 check failure, 2 invalid config, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,6 +19,7 @@ import numpy as np
 
 from .charges import (
     Charge,
+    box_path,
     extremal_charge,
     extremal_density,
     grad_sup_polar,
@@ -47,8 +46,14 @@ from .inequalities import (
     nagy_inequality,
     sharpness_search,
 )
-from .report import format_float, write_csv, write_json
-from .steklov import MixedParams, SteklovParams, deviation_sup, mixed_operator_norm
+from .report import CSV_COLUMNS, write_csv, write_json
+from .steklov import (
+    MixedParams,
+    SteklovParams,
+    deviation_sup,
+    mixed_operator_norm,
+    steklov_norm,
+)
 from .stechkin import (
     ProblemSetting,
     omega,
@@ -90,8 +95,8 @@ def _zero_field(grid: GridSpec) -> GridField:
 EQUALITY_CASES = {"extremal-charge", "nagy-extremal", "mixed-m0", "mixed-m1",
                   "zero"}
 # cases whose additive bound needs steklov.deviation_sup, whose fractional
-# windows (exact integrals over each window) exist for box bodies with
-# orthant cones only
+# windows (exact integrals over each window) exist only where
+# charges.box_path holds
 WINDOW_CASES = {"extremal-charge", "gaussian-charge", "zero",
                 "corrupted-extremal"}
 
@@ -102,7 +107,7 @@ def _verify_reports(cfg: dict):
     hs = cfg["h"] if isinstance(cfg["h"], list) else [cfg["h"]]
     K = body_from_config(d, cfg["body"])
     C = cone_from_config(d, cfg["cone"]) if cfg["cone"] else Cone.orthant(d, m)
-    if case in WINDOW_CASES and not (K.is_box and C.kind == "orthant"):
+    if case in WINDOW_CASES and not box_path(K, C):
         raise ConfigError(f"verify case {case!r}: the deviation's fractional "
                           "windows need box body + orthant cone")
     reports = []
@@ -118,7 +123,7 @@ def _verify_reports(cfg: dict):
             )
         elif case == "gaussian-charge":
             grid = GridSpec.for_cone(d, C.m, 2.5, n)
-            fld = make_density("gaussian", grid, C, width=0.8)
+            fld = make_density("gaussian", grid, width=0.8)
             nu = Charge(fld, C)
             reports.append(lk_additive_charge(nu, K, C, h, tol))
             reports.append(lk_multiplicative_charge(nu, K, C, tol=tol))
@@ -160,8 +165,8 @@ def _verify_reports(cfg: dict):
 
 def cmd_verify(cfg: dict, outdir: Path) -> int:
     reports = _verify_reports(cfg)
-    write_csv(outdir / "report.csv", reports)
-    write_json(outdir / "report.json", reports)
+    write_csv(outdir / "report.csv", CSV_COLUMNS, [r.csv_row() for r in reports])
+    write_json(outdir / "report.json", [r.to_dict() for r in reports])
     failures = []
     for rep in reports:
         tag = f"{rep.case} d={rep.d} m={rep.m} h={rep.h:g}"
@@ -189,27 +194,15 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
         raise ConfigError(f"unknown setting {cfg['setting']!r}")
 
     Ns = np.geomspace(cfg["n_min"], cfg["n_max"], cfg["n_points"])
-    lines = ["N,E_N,h_N"]
-    for N in Ns:
-        lines.append(
-            ",".join(
-                format_float(v)
-                for v in (N, stechkin_error(setting, N), optimal_h_for_N(setting, N))
-            )
-        )
-    (outdir / "stechkin_curve.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "stechkin_curve.csv", ["N", "E_N", "h_N"],
+              [(N, stechkin_error(setting, N), optimal_h_for_N(setting, N))
+               for N in Ns])
 
     deltas = np.geomspace(cfg["delta_min"], cfg["delta_max"], 16)
     rows, sandwich_ok = sandwich_check(setting, deltas)
-    lines = ["delta,omega,inf_EN_plus_Ndelta,rel_err"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                format_float(r[k])
-                for k in ("delta", "omega", "inf_EN_plus_Ndelta", "rel_err")
-            )
-        )
-    (outdir / "omega_curve.csv").write_text("\n".join(lines) + "\n")
+    columns = ["delta", "omega", "inf_EN_plus_Ndelta", "rel_err"]
+    write_csv(outdir / "omega_curve.csv", columns,
+              [[r[k] for k in columns] for r in rows])
 
     # numerically attained points from extremal inputs
     att_N, att_E = [], []
@@ -219,7 +212,7 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
             grid = _charge_grid(d, m, h, cfg["grid"] if d == 1 else 128)
             nu = extremal_charge(setting.K, setting.C, h, grid)
             p = SteklovParams(K=setting.K, C=setting.C, h=h, mu=setting.mu)
-            att_N.append(1.0 / (h**d * setting.mu))
+            att_N.append(steklov_norm(p))
             att_E.append(deviation_sup(nu, p).value)
         else:
             grid = GridSpec.for_cone(d, m, 1.5 * h, 64)
@@ -231,10 +224,8 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
             p = MixedParams(d=d, m=m, h=h)
             att_N.append(mixed_operator_norm(p))
             att_E.append(mixed_deviation_sup(f, p))
-    lines = ["N,E_measured"]
-    for N, E in zip(att_N, att_E):
-        lines.append(f"{format_float(N)},{format_float(E)}")
-    (outdir / "attained_points.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "attained_points.csv", ["N", "E_measured"],
+              zip(att_N, att_E))
 
     render_plot(
         outdir / "stechkin_curve.svg",
@@ -285,10 +276,10 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
         err_worst = recovery_error(truth, noisy, res)
         # typical case: scaled smooth truth plus filtered noise
         grid2 = GridSpec.for_cone(d, m, max(2.0, 1.5 * h), n)
-        base = make_density("gaussian", grid2, C, width=0.8)
+        base = make_density("gaussian", grid2, width=0.8)
         gsup = grad_sup_polar(base, K, C)
         truth2 = base.scaled(0.8 / gsup)
-        pert = random_separable_field(rng, grid2, C)
+        pert = random_separable_field(rng, grid2)
         pnorm = seminorm_K(
             Charge(pert, C), K, 2.0 * float(np.max(grid2.hi - grid2.lo))
         ).value
@@ -308,32 +299,18 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
                   f"typical error {err_typ:.6g} exceeds omega({delta:g}) = {om:.6g}")
         last_dump = (grid, res)
 
-    lines = ["delta,h,omega,err_worst,err_typical"]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    (outdir / "recovery.csv").write_text("\n".join(lines) + "\n")
+    columns = ["delta", "h", "omega", "err_worst", "err_typical"]
+    write_csv(outdir / "recovery.csv", columns, rows)
 
     if last_dump is not None:
         grid, res = last_dump
-        dump = ["# " + ",".join(f"i{k}" for k in range(grid.d)) + ",value"]
-        flat = res.estimate.reshape(-1)
-        for j in range(flat.size):
-            idx = np.unravel_index(j, grid.shape)
-            dump.append(
-                ",".join(str(int(i)) for i in idx) + "," + format_float(flat[j])
-            )
-        (outdir / "estimate_dump.csv").write_text("\n".join(dump) + "\n")
+        write_csv(outdir / "estimate_dump.csv",
+                  ["# i0"] + [f"i{k}" for k in range(1, grid.d)] + ["value"],
+                  [(*idx, v) for idx, v
+                   in zip(np.ndindex(*grid.shape), res.estimate.reshape(-1))])
 
-    with open(outdir / "recovery_summary.json", "w") as fh:
-        json.dump(
-            [
-                {"delta": r[0], "h": r[1], "omega": r[2],
-                 "err_worst": r[3], "err_typical": r[4]}
-                for r in rows
-            ],
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(outdir / "recovery_summary.json",
+               [dict(zip(columns, r)) for r in rows])
 
     render_plot(
         outdir / "recovery.svg",
@@ -357,22 +334,15 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
 def cmd_sharpness_search(cfg: dict, outdir: Path) -> int:
     res = sharpness_search(cfg["d"], cfg["m"], cfg["h"], budget=cfg["budget"],
                            seed=cfg["seed"])
-    lines = ["iteration,best_ratio"]
-    for it, r in res.trajectory:
-        lines.append(f"{it},{format_float(r)}")
-    (outdir / "sharpness_trajectory.csv").write_text("\n".join(lines) + "\n")
-    with open(outdir / "sharpness_summary.json", "w") as fh:
-        json.dump(
-            {
-                "d": cfg["d"], "m": cfg["m"], "h": cfg["h"],
-                "best_ratio": res.best_ratio,
-                "best_shifts": [float(s) for s in res.best_shifts],
-                "exploratory": True,
-                "note": "numerical evidence only; no sharpness claim",
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    write_csv(outdir / "sharpness_trajectory.csv", ["iteration", "best_ratio"],
+              res.trajectory)
+    write_json(outdir / "sharpness_summary.json", {
+        "d": cfg["d"], "m": cfg["m"], "h": cfg["h"],
+        "best_ratio": res.best_ratio,
+        "best_shifts": [float(s) for s in res.best_shifts],
+        "exploratory": True,
+        "note": "numerical evidence only; no sharpness claim",
+    })
     failures = []
     if res.best_ratio > 1 + 1e-6:
         _fail(failures, f"ratio {res.best_ratio} exceeds 1 (impossible)")

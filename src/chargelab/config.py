@@ -1,17 +1,16 @@
 """Experiment configuration: YAML/JSON key-value trees with strict schemas.
 
-Each CLI command has a fixed set of allowed keys; unknown keys are rejected
-before any computation runs.
+Each CLI command has a fixed set of allowed keys, and so has each body and
+cone kind; unknown keys are rejected before any computation runs.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import yaml
 
-from .geometry import ConvexBody, Cone, GeometryError
+from .geometry import ConvexBody, Cone
 
 __all__ = ["ConfigError", "load_config", "validate", "SCHEMAS",
            "body_from_config", "cone_from_config"]
@@ -103,31 +102,57 @@ def validate(command: str, cfg: dict) -> dict:
     return out
 
 
+# body and cone kind -> the keys its spec may hold
+_BODY_KEYS = {"box": {"kind"}, "pball": {"kind", "p"},
+              "polytope": {"kind", "vertices", "facets"}}
+_CONE_KEYS = {"orthant": {"kind", "m"}, "halfspaces": {"kind", "normals"}}
+
+
+def _spec_kind(what: str, spec: dict, keys: dict, default: str) -> str:
+    kind = spec.get("kind", default)
+    if kind not in keys:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unknown = set(spec) - keys[kind]
+    if unknown:
+        raise ConfigError(f"unknown keys for {what} kind {kind!r}: {sorted(unknown)}")
+    return kind
+
+
 def body_from_config(d: int, spec: dict | None) -> ConvexBody:
+    """The body a verify config names (the box by default); a spec that
+    names no valid body raises ConfigError."""
     if spec is None:
         return ConvexBody.box(d)
-    kind = spec.get("kind", "box")
-    if kind == "box":
-        return ConvexBody.box(d)
-    if kind == "pball":
-        p = spec.get("p", 2.0)
-        if isinstance(p, str) and p in ("inf", "Inf", "infinity"):
-            p = math.inf
-        return ConvexBody.pball(d, float(p))
-    if kind == "polytope":
+    kind = _spec_kind("body", spec, _BODY_KEYS, "box")
+    try:
+        if kind == "box":
+            return ConvexBody.box(d)
+        if kind == "pball":
+            return ConvexBody.pball(d, float(spec.get("p", 2.0)))
         return ConvexBody.polytope(
             d, vertices=spec.get("vertices"), facets=spec.get("facets")
         )
-    raise ConfigError(f"unknown body kind {kind!r}")
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"body {spec}: {e}") from e
 
 
 def cone_from_config(d: int, spec: dict | None) -> Cone:
+    """The cone a verify config names (R^d by default); a spec that names
+    no valid cone in R^d raises ConfigError."""
     if spec is None:
         return Cone.orthant(d, 0)
-    kind = spec.get("kind", "orthant")
-    if kind == "orthant":
-        return Cone.orthant(d, int(spec.get("m", 0)))
-    if kind == "halfspaces":
-        return Cone.halfspaces(spec["normals"])
-    raise ConfigError(f"unknown cone kind {kind!r}")
-
+    kind = _spec_kind("cone", spec, _CONE_KEYS, "orthant")
+    m = spec.get("m", 0)
+    if not isinstance(m, int):
+        raise ConfigError(f"cone m must be an integer, got {m!r}")
+    try:
+        if kind == "orthant":
+            return Cone.orthant(d, m)
+        C = Cone.halfspaces(spec["normals"])
+    except KeyError as e:
+        raise ConfigError(f"cone kind {kind!r} needs {e}") from e
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"cone {spec}: {e}") from e
+    if C.d != d:
+        raise ConfigError(f"cone normals have dimension {C.d}, not d = {d}")
+    return C

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Cone, GeometryError
+from .geometry import GeometryError
 from .grids import GridField, GridSpec
 
 __all__ = [
@@ -191,8 +191,7 @@ def _axis_bump(grid: GridSpec, axis: int):
     return bump(0.5 * (lo + hi), 0.5 * (hi - lo) * 0.88)
 
 
-def make_density(name: str, grid: GridSpec, cone: Cone, *,
-                 width: float = 1.0) -> GridField:
+def make_density(name: str, grid: GridSpec, *, width: float = 1.0) -> GridField:
     """Named built-in densities, each a separable product of a per-axis
     factor and an axis bump: "gaussian" exp(-(x_i/width)^2), "sin"
     sin(pi x_i) and "poly" x_i.  width applies to "gaussian" only."""
@@ -208,8 +207,7 @@ def make_density(name: str, grid: GridSpec, cone: Cone, *,
         grid, [g * _axis_bump(grid, i) for i, g in enumerate(factors)])
 
 
-def random_separable_field(rng: np.random.Generator, grid: GridSpec,
-                           cone: Cone) -> GridField:
+def random_separable_field(rng: np.random.Generator, grid: GridSpec) -> GridField:
     """Random compactly supported smooth field (mixture of separable terms)."""
     fields = []
     for _ in range(int(rng.integers(1, 4))):

@@ -97,14 +97,20 @@ class ConvexBody:
         else:
             normals = offsets = None
 
-        if verts is None:
-            if d > 4:
-                raise GeometryError("vertex enumeration only supported for d <= 4")
-            verts = _vertices_from_facets(d, normals, offsets)
-        if normals is None:
-            if d > 4:
-                raise GeometryError("facet enumeration only supported for d <= 4")
-            normals, offsets = _facets_from_vertices(d, verts)
+        from scipy.spatial import QhullError
+
+        try:
+            if verts is None:
+                if d > 4:
+                    raise GeometryError("vertex enumeration only supported for d <= 4")
+                verts = _vertices_from_facets(d, normals, offsets)
+            if normals is None:
+                if d > 4:
+                    raise GeometryError("facet enumeration only supported for d <= 4")
+                normals, offsets = _facets_from_vertices(d, verts)
+        except QhullError as e:
+            raise GeometryError("qhull cannot complete the polytope: "
+                                + str(e).splitlines()[0]) from e
 
         body = cls(
             d=d,
@@ -328,7 +334,10 @@ class Cone:
     @classmethod
     def halfspaces(cls, normals) -> "Cone":
         A = np.asarray(normals, dtype=float)
-        A = A / np.linalg.norm(A, axis=1)[:, None]
+        norms = np.linalg.norm(A, axis=1)
+        if not (np.all(np.isfinite(A)) and np.all(norms > 0)):
+            raise GeometryError("halfspace normals must be finite and nonzero")
+        A = A / norms[:, None]
         return cls(d=A.shape[1], kind="halfspaces", m=0, normals=A)
 
     def member(self, x) -> bool:

@@ -410,7 +410,6 @@ class SharpnessResult:
     best_ratio: float
     best_shifts: np.ndarray
     trajectory: list = field(default_factory=list)  # (iteration, ratio)
-    exploratory: bool = True
 
 
 def _shifted_sup(h: float, d: int, m: int, shifts: np.ndarray) -> float:

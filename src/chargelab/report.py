@@ -1,7 +1,9 @@
 """Structured records of inequality/recovery checks and their serialization.
 
-CSV output uses a stable column order and 17-significant-digit '.' decimals
-so that golden files are byte-stable across runs with the same config/seed.
+Every CSV and JSON file the CLI writes goes through write_csv and
+write_json.  CSV output uses a stable column order and 17-significant-digit
+'.' decimals, JSON sorted keys, so that golden files are byte-stable across
+runs with the same config/seed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["InequalityReport", "format_float", "write_csv", "write_json"]
+__all__ = ["InequalityReport", "CSV_COLUMNS", "format_float", "write_csv",
+           "write_json"]
 
 CSV_COLUMNS = ["case", "d", "m", "h", "grid", "lhs", "rhs", "slack",
                "equality", "coverage"]
@@ -106,16 +109,25 @@ class InequalityReport:
         return out
 
 
-def write_csv(path, reports) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(r.csv_row()))
+def _csv_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format_float(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row: strings as they are, integers
+    in decimal, other numbers through format_float."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_json(path, reports) -> None:
-    payload = [r.to_dict() for r in reports]
+def write_json(path, payload) -> None:
+    """payload as JSON with sorted keys, indent 2 and a final newline."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,7 +11,7 @@ the window average at the delta-matched radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .steklov import (
     mixed_operator_field,
     steklov_apply,
     steklov_field,
-    _valid_window_mask,
 )
 
 __all__ = [
@@ -153,7 +152,6 @@ class RecoveryResult:
     bound: float
     h: float
     params: SteklovParams | MixedParams
-    warnings: list = field(default_factory=list)
 
 
 def recover_derivative(nu_noisy: Charge, delta: float,
@@ -164,17 +162,10 @@ def recover_derivative(nu_noisy: Charge, delta: float,
         raise GeometryError("delta must be positive")
     h = optimal_h_for_delta(setting, delta)
     bound = omega(setting, delta)
-    warnings = []
     if setting.kind == "charge":
         p = SteklovParams(K=setting.K, C=setting.C, h=h, mu=setting.mu)
-        if nu_noisy.is_zero:
-            grid = nu_noisy.density.grid
-            est = np.zeros(grid.shape)
-            valid = _valid_window_mask(grid, nu_noisy.cone, h,
-                                       setting.K.bounding_radii())
-        else:
-            est, valid = steklov_field(nu_noisy, p)
-        return RecoveryResult(est, valid, bound, h, p, warnings)
+        est, valid = steklov_field(nu_noisy, p)
+        return RecoveryResult(est, valid, bound, h, p)
     # mixed setting: snap h to a step commensurate with every axis (the
     # coarsest spacing; finer axes must divide it)
     grid = nu_noisy.density.grid
@@ -187,8 +178,6 @@ def recover_derivative(nu_noisy: Charge, delta: float,
             )
     k = max(1, round(h / sp))
     h_snap = k * sp
-    if abs(h_snap - h) > 1e-12 * h:
-        warnings.append(f"h snapped from {h:.6g} to {h_snap:.6g}")
     p = MixedParams(d=setting.d, m=setting.m, h=h_snap)
     out = mixed_operator_field(nu_noisy.density, p)
     est = np.full(grid.shape, np.nan)
@@ -200,7 +189,7 @@ def recover_derivative(nu_noisy: Charge, delta: float,
         sl.append(slice(lo_cells, lo_cells + out.grid.shape[axis]))
     est[tuple(sl)] = out.values
     valid[tuple(sl)] = True
-    return RecoveryResult(est, valid, bound, h_snap, p, warnings)
+    return RecoveryResult(est, valid, bound, h_snap, p)
 
 
 def recovery_error(truth: GridField, nu_noisy: Charge,

@@ -2,11 +2,13 @@
 
 S_h averages a charge over translated copies of hK∩C and is the optimal
 bounded approximant to the density operator; its norm is 1/(h^d mu(K∩C)).
-The deviation sup integrates the density exactly over each window
-(fractional windows, box bodies with orthant cones only).  For the
-mixed-derivative setting (box body, orthant cone) the same operator is
-realized on functions as a composition of forward and central difference
-operators scaled by 1/(2^(d-m) h^d), with norm 2^m/h^d.
+Window values, the mask of centers whose window fits the grid and the
+choice of engine all come from charges.Charge.  The deviation sup
+integrates the density exactly over each window (fractional windows, box
+bodies with orthant cones only).  For the mixed-derivative setting (box
+body, orthant cone) the same operator is realized on functions as a
+composition of forward and central difference operators scaled by
+1/(2^(d-m) h^d), with norm 2^m/h^d.
 """
 
 from __future__ import annotations
@@ -69,34 +71,13 @@ def steklov_apply(nu: Charge, p: SteklovParams, x) -> float:
     return nu.window_value(p.K, np.asarray(x, dtype=float), p.h).value * p.scale
 
 
-def _valid_window_mask(grid: GridSpec, cone: Cone, h: float, radii) -> np.ndarray:
-    """Boolean array over grid centers whose full window lies in the grid."""
-    axes_ok = []
-    for axis in range(grid.d):
-        c = grid.axis_centers(axis)
-        r = radii[axis] * h
-        hi_ok = c + r <= grid.hi[axis] + 1e-12
-        lo_ok = (
-            np.ones_like(c, dtype=bool)
-            if axis < cone.m
-            else c - r >= grid.lo[axis] - 1e-12
-        )
-        axes_ok.append(hi_ok & lo_ok)
-    mask = axes_ok[0]
-    for a in axes_ok[1:]:
-        mask = np.multiply.outer(mask, a)
-    return mask.reshape(grid.shape)
-
-
 def steklov_field(nu: Charge, p: SteklovParams):
     """S_h nu at every grid center (Charge.window_values_all).
 
     Returns (values, valid_mask) where valid marks centers whose window is
-    fully inside the sampled region.
+    fully inside the sampled region (Charge.full_windows).
     """
-    S = nu.window_values_all(p.K, p.h) * p.scale
-    mask = _valid_window_mask(nu.density.grid, nu.cone, p.h, p.K.bounding_radii())
-    return S, mask
+    return nu.window_values_all(p.K, p.h) * p.scale, nu.full_windows(p.K, p.h)
 
 
 @dataclass(frozen=True)
@@ -114,20 +95,17 @@ def deviation_sup(nu: Charge, p: SteklovParams) -> DeviationResult:
     window lies inside the sampled region, plus the origin and the sup
     candidates; the fraction of usable centers is reported as coverage.
     """
-    if not nu._fast_path(p.K):
-        raise GeometryError("the deviation's fractional windows need "
-                            "box body + orthant cone")
-    grid = nu.density.grid
-    mask = _valid_window_mask(grid, nu.cone, p.h, p.K.bounding_radii())
+    dev = nu.fractional_values_all(p.K, p.h)
+    mask = nu.full_windows(p.K, p.h)
     if not mask.any():
         raise GeometryError("no grid center has its full window inside the grid")
-    dev = nu.fractional_values_all(p.K, p.h)
     dev *= p.scale
     np.subtract(nu.density.values, dev, out=dev)
     np.abs(dev, out=dev)
     dev[~mask] = -np.inf
     i = int(np.argmax(dev))
     best = float(dev.reshape(-1)[i])
+    grid = nu.density.grid
     arg = grid.flat_to_point(i)
     # candidate points with analytic values (the extremals peak at theta)
     for cand in [np.zeros(grid.d)] + list(nu.density.sup_candidates):

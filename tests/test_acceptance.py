@@ -37,7 +37,7 @@ from chargelab.inequalities import (
     mixed_deviation_sup,
     split_point,
 )
-from chargelab.report import InequalityReport, write_csv
+from chargelab.report import CSV_COLUMNS, InequalityReport, write_csv
 from chargelab.stechkin import (
     ProblemSetting,
     omega,
@@ -85,7 +85,7 @@ def random_charge_suite(n_cases=100):
         C = Cone.orthant(d, m)
         K = ConvexBody.box(d)
         grid = GridSpec.for_cone(d, m, 1.5, 96 if d == 1 else 64)
-        f = random_separable_field(rng, grid, C)
+        f = random_separable_field(rng, grid)
         h = float(rng.uniform(0.2, 1.0))
         out.append((Charge(f, C), K, C, h))
     return out
@@ -272,9 +272,9 @@ def test_criterion_09_recovery_demo():
         assert om - 1e-3 <= err <= om + 1e-3, (delta, err, om)
         # typical case: smooth truth observed with small filtered noise
         grid2 = GridSpec.for_cone(1, 0, max(2.0, 1.5 * h), 512)
-        base = make_density("gaussian", grid2, s.C, width=0.8)
+        base = make_density("gaussian", grid2, width=0.8)
         base = base.scaled(0.8 / grad_sup_polar(base, s.K, s.C))
-        pert = random_separable_field(rng, grid2, s.C)
+        pert = random_separable_field(rng, grid2)
         pnorm = seminorm_Kh(Charge(pert, s.C), s.K, h).value
         pert = pert.scaled(0.9 * delta / max(pnorm, 1e-30))
         from chargelab.families import sum_fields
@@ -315,7 +315,7 @@ def test_criterion_10_property_suites(tmp_path):
     # Fubini residuals at grid 256 (cell-aligned windows)
     for m in (0, 1, 2):
         grid = GridSpec.for_cone(2, m, 2.0, 256)
-        f = make_density("sin", grid, Cone.orthant(2, m))
+        f = make_density("sin", grid)
         h = float(np.max(grid.spacing)) * 32
         p = MixedParams(d=2, m=m, h=h)
         for j in (0, 3, 7):
@@ -327,8 +327,8 @@ def test_criterion_10_property_suites(tmp_path):
                          rhs_terms={"a": 0.25, "b": 0.0851}, tol=1e-3)
     ]
     p1, p2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
-    write_csv(p1, reps)
-    write_csv(p2, reps)
+    write_csv(p1, CSV_COLUMNS, [r.csv_row() for r in reps])
+    write_csv(p2, CSV_COLUMNS, [r.csv_row() for r in reps])
     assert p1.read_bytes() == p2.read_bytes()
     elapsed = time.time() - t0
     assert elapsed < 300.0

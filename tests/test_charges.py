@@ -33,7 +33,7 @@ class TestWindowValue:
             y = rng.uniform([-0.2, -1.0], [1.0, 1.0])
             h = rng.uniform(0.1, 0.8)
             vp = nu.window_value(K, y, h, "prefix").value
-            wlo, whi = nu._window_bounds(K, y, h)
+            wlo, whi = nu._window_bounds(K, h, y)
             ranges = [windows.index_range(grid.lo[k], grid.spacing[k], grid.shape[k],
                                           wlo[k], whi[k]) for k in range(2)]
             vd = windows.box_window_sum_direct(
@@ -275,6 +275,54 @@ def _offsets_off_boundary(K, C, h, grid) -> bool:
     return True
 
 
+def _full_window_reference(grid, C, K, h):
+    """Center by center: the window fits when, on every axis, the center
+    plus h times K's bounding radius stays below grid.hi, and the center
+    minus it above grid.lo unless the axis is orthant-constrained."""
+    r = K.bounding_radii()
+    mask = np.zeros(grid.shape, dtype=bool)
+    for idx in np.ndindex(*grid.shape):
+        y = [grid.axis_centers(k)[idx[k]] for k in range(grid.d)]
+        mask[idx] = all(
+            y[k] + r[k] * h <= grid.hi[k] + 1e-12
+            and (k < C.m or y[k] - r[k] * h >= grid.lo[k] - 1e-12)
+            for k in range(grid.d))
+    return mask
+
+
+class TestFullWindows:
+    @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 6)])
+    def test_matches_pointwise_reference(self, d, n):
+        bodies = [ConvexBody.box(d), ConvexBody.pball(d, 2.0)]
+        if d == 2:
+            bodies.append(ConvexBody.polytope(2, vertices=HEXAGON))
+        cones = [Cone.orthant(d, m) for m in range(d + 1)]
+        cones.append(Cone.halfspaces(np.eye(d)[: max(d - 1, 1)]))
+        rng = np.random.default_rng(d)
+        for C in cones:
+            lo = np.array([0.0 if k < C.m else -1.0 for k in range(d)])
+            grid = GridSpec(lo, np.ones(d), (n,) * d)
+            nu = Charge(GridField(grid=grid, values=rng.standard_normal(grid.shape)),
+                        C, check_support=False)
+            # at h = 3.5 spacings the window of the fourth center from the
+            # top ends exactly on grid.hi along the last axis
+            edge = 3.5 * float(grid.spacing[-1])
+            for K in bodies:
+                for h in (0.2, edge, 0.9, 2.5):
+                    ref = _full_window_reference(grid, C, K, h)
+                    np.testing.assert_array_equal(
+                        nu.full_windows(K, h), ref,
+                        err_msg=f"{K.kind} p={K.p} {C.kind} m={C.m} h={h}")
+
+    def test_window_edge_on_grid_hi_fits(self):
+        grid = GridSpec(np.array([-1.0]), np.array([1.0]), (8,))
+        nu = Charge(GridField(grid=grid, values=np.zeros(8)), Cone.orthant(1, 0))
+        # centers -0.875, ..., 0.875: at h = 0.375 the windows about -0.625
+        # and 0.625 end exactly on lo and hi, and fit
+        mask = nu.full_windows(ConvexBody.box(1), 0.375)
+        assert mask.tolist() == [False] + [True] * 6 + [False]
+
+
 class TestLatticeCorrelation:
     @pytest.mark.parametrize("d,n", [(1, 24), (2, 12), (3, 7)])
     def test_correlation_matches_mask_at_every_center(self, d, n):
@@ -316,7 +364,7 @@ class TestLatticeCorrelation:
                 for h in (k * sp * (1 - 1e-12), k * sp, k * sp * (1 + 1e-12)):
                     np.testing.assert_allclose(
                         nu._correlation_values_all(K, h),
-                        nu._prefix_values_all(K, h),
+                        nu.window_values_all(K, h),
                         rtol=0, atol=atol, err_msg=f"m={m} h={h / sp!r} spacings")
 
 
@@ -353,31 +401,30 @@ class TestZeroCharge:
         assert nu.is_zero
         assert seminorm_Kh(nu, ConvexBody.box(1), 0.5).value == 0.0
         res = seminorm_K(nu, ConvexBody.box(1), 2.0)
-        assert res.value == 0.0 and res.flagged
+        assert res.value == 0.0
 
 
 class TestFamilies:
     def test_callbacks_match_grid_values(self):
         grid = GridSpec.for_cone(2, 1, 2.0, 48)
-        C = Cone.orthant(2, 1)
         for name in ("gaussian", "sin", "poly"):
-            f = make_density(name, grid, C)
+            f = make_density(name, grid)
             assert f.check_callback_consistency() <= 1e-12, name
 
     def test_gaussian_density_supported_inside(self):
         grid = GridSpec.for_cone(2, 0, 2.0, 64)
         C = Cone.orthant(2, 0)
-        f = make_density("gaussian", grid, C)
+        f = make_density("gaussian", grid)
         Charge(f, C)  # margin assertion passes
 
     def test_unknown_keyword_rejected(self):
         grid = GridSpec.for_cone(2, 0, 2.0, 16)
         with pytest.raises(TypeError):
-            make_density("gaussian", grid, Cone.orthant(2, 0), widht=0.8)
+            make_density("gaussian", grid, widht=0.8)
 
     def test_gradient_callback_against_finite_differences(self):
         grid = GridSpec.for_cone(2, 0, 2.0, 32)
-        f = make_density("sin", grid, Cone.orthant(2, 0))
+        f = make_density("sin", grid)
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1.0, 1.0, size=(40, 2))
         G = f.grad_fn(pts)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chargelab.cli import main
-from chargelab.report import InequalityReport, format_float, write_csv
+from chargelab.report import CSV_COLUMNS, InequalityReport, format_float, write_csv
 from chargelab.svgplot import render_plot
 
 
@@ -40,8 +40,8 @@ class TestReports:
     def test_csv_bytes_deterministic(self, tmp_path):
         reps = [self.rep(), self.rep(rhs=2.0, middle=1.5)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(p1, reps)
-        write_csv(p2, reps)
+        write_csv(p1, CSV_COLUMNS, [r.csv_row() for r in reps])
+        write_csv(p2, CSV_COLUMNS, [r.csv_row() for r in reps])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_format_float_roundtrip(self):
@@ -103,6 +103,26 @@ class TestVerifyCommand:
         cfg.write_text(f"body: {body}\n")
         assert run(["verify", "--config", cfg, "--case", "nagy-extremal",
                     "--d", 2, "--h", 1, "--grid", 64, "--out", tmp_path]) == 0
+
+    @pytest.mark.parametrize("spec", [
+        "body: {kind: pball, q: 1}",
+        "cone: {kind: orthant, mm: 1}",
+        "cone: {kind: halfspaces}",
+        "cone: {kind: halfspaces, normals: [[1, 0, 0]]}",
+        "body: {kind: pball, p: abc}",
+        "body: {kind: polytope}",
+        "body: {kind: pball, p: 0.5}",
+        "body: {kind: polytope, vertices: [[1, 0], [-1, 0]]}",
+        "cone: {kind: halfspaces, normals: [[0, 0], [0, 1]]}",
+        "cone: {kind: orthant, m: 1.5}",
+    ], ids=["misspelt-body-key", "misspelt-cone-key", "no-normals",
+            "normals-of-dimension-3", "p-not-a-number", "empty-polytope",
+            "p-below-1", "flat-polytope", "zero-normal", "fractional-m"])
+    def test_invalid_body_or_cone_exit_2(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"case: nagy-extremal\nd: 2\ngrid: 32\n{spec}\n")
+        assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_density_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

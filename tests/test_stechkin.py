@@ -127,13 +127,26 @@ class TestRecovery:
         err = recovery_error(truth, noisy, res)
         assert err == pytest.approx(omega(s, delta), abs=1e-3)
 
+    @pytest.mark.parametrize("d,m", [(1, 0), (2, 1)])
+    def test_zero_charge_estimate_and_mask(self, d, m):
+        s = charge_setting(d, m)
+        delta = 0.1
+        h = optimal_h_for_delta(s, delta)
+        grid = GridSpec.for_cone(d, m, h, 64, margin=0.3 * h)
+        zero = recover_derivative(self.zero_charge(grid, s.C), delta, s)
+        nonzero = recover_derivative(extremal_charge(s.K, s.C, h, grid), delta, s)
+        # +0.0 everywhere: a -0.0 would print as "-0" in the estimate dump
+        assert np.all(zero.estimate == 0.0) and not np.signbit(zero.estimate).any()
+        assert zero.valid.any() and not zero.valid.all()
+        np.testing.assert_array_equal(zero.valid, nonzero.valid)
+
     def test_recovery_of_smooth_truth_beats_bound(self):
         from chargelab.families import make_density
 
         s = charge_setting(1, 0)
         delta = 0.05
         grid = GridSpec.for_cone(1, 0, 2.0, 512)
-        truth = make_density("gaussian", grid, s.C, width=0.7)
+        truth = make_density("gaussian", grid, width=0.7)
         noisy = Charge(truth, s.C)  # clean data
         res = recover_derivative(noisy, delta, s)
         err = recovery_error(truth, noisy, res)
@@ -144,7 +157,7 @@ class TestRecovery:
 
         s = ProblemSetting.mixed(2, 1)
         grid = GridSpec.for_cone(2, 1, 2.0, 64)
-        f = make_density("sin", grid, s.C)
+        f = make_density("sin", grid)
         nu = Charge(f, s.C)
         res = recover_derivative(nu, 0.123, s)
         k = res.h / float(grid.spacing[0])
@@ -158,7 +171,7 @@ class TestRecovery:
 
         s = ProblemSetting.mixed(2, 1)
         grid = GridSpec.for_cone(2, 1, 2.0, 128)
-        f = make_density("sin", grid, s.C)
+        f = make_density("sin", grid)
         res = recover_derivative(Charge(f, s.C), 1e-4, s)
         centers = [grid.axis_centers(k) for k in range(2)]
         mesh = np.meshgrid(*centers, indexing="ij")

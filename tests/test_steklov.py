@@ -47,7 +47,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(0)
         grid = GridSpec.for_cone(d, m, 1.5, 64)
         for _ in range(5):
-            f = random_separable_field(rng, grid, C)
+            f = random_separable_field(rng, grid)
             nu = Charge(f, C)
             S, _ = steklov_field(nu, p)
             sem = seminorm_Kh(nu, K, h).value
@@ -95,7 +95,7 @@ class TestSteklovOnExtremal:
         rng = np.random.default_rng(4)
         grid = GridSpec.for_cone(d, m, 1.5, 64)
         for _ in range(5):
-            f = random_separable_field(rng, grid, C)
+            f = random_separable_field(rng, grid)
             nu = Charge(f, C)
             dev = deviation_sup(nu, p)
             bound = d * h / (d + 1) * grad_sup_polar(f, K, C)
@@ -195,7 +195,7 @@ class TestFractionalWindows:
         rng = np.random.default_rng(10 * d + m)
         grid = GridSpec.for_cone(d, m, 1.5, {1: 48, 2: 20, 3: 10}[d])
         for _ in range(3):
-            f = random_separable_field(rng, grid, C)
+            f = random_separable_field(rng, grid)
             nu = Charge(f, C)
             values = f.values
             h = float(rng.uniform(0.2, 0.9))
@@ -239,7 +239,7 @@ class TestDifferenceOperators:
 
     def test_callbacks_follow_the_difference(self):
         grid = GridSpec.for_cone(2, 1, 2.0, 32)
-        f = make_density("sin", grid, Cone.orthant(2, 1))
+        f = make_density("sin", grid)
         h = float(grid.spacing[0]) * 4
         g = diff_forward(f, 0, h)
         assert g.check_callback_consistency() <= 1e-12
@@ -254,7 +254,7 @@ class TestMixedOperator:
     def test_apply_matches_field_at_centers(self):
         d, m = 2, 1
         grid = GridSpec.for_cone(d, m, 2.0, 48)
-        f = make_density("sin", grid, Cone.orthant(d, m))
+        f = make_density("sin", grid)
         h = float(grid.spacing[0]) * 6
         p = MixedParams(d=d, m=m, h=h)
         out = mixed_operator_field(f, p)
@@ -280,7 +280,7 @@ class TestMixedOperator:
                                      (3, 1)])
     def test_fubini_residual_small(self, d, m):
         grid = GridSpec.for_cone(d, m, 2.0, 128 if d <= 2 else 64)
-        f = make_density("sin", grid, Cone.orthant(d, m))
+        f = make_density("sin", grid)
         h = float(grid.spacing[0]) * (32 if d <= 2 else 16)
         p = MixedParams(d=d, m=m, h=h)
         rng = np.random.default_rng(d * 10 + m)
@@ -299,7 +299,7 @@ class TestMixedOperator:
         res = []
         for n in (32, 64):
             grid = GridSpec.for_cone(d, m, 2.0, n)
-            f = make_density("sin", grid, Cone.orthant(d, m))
+            f = make_density("sin", grid)
             h = float(grid.spacing[0]) * (n // 4)
             p = MixedParams(d=d, m=m, h=h)
             x = grid.lo + (np.array(grid.shape) // 2) * grid.spacing

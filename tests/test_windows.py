@@ -129,6 +129,26 @@ class TestIndexRange:
         outside = (centers < a - 1e-9) | (centers > b + 1e-9)
         assert not np.any(picked & outside)
 
+    @given(
+        st.floats(-5, 5, allow_nan=False),
+        st.floats(0.01, 2.0, allow_nan=False),
+        st.integers(1, 60),
+        # per window, in cells: its start, anywhere or on a cell edge or
+        # center, and its width, also below the tie tolerance
+        st.lists(st.tuples(
+            st.one_of(st.floats(-70, 70), st.integers(-140, 140).map(lambda k: k / 2)),
+            st.one_of(st.floats(-4, 4), st.floats(0, 1e-8))), min_size=1, max_size=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_scalar(self, lo, delta, n, cells):
+        bounds = [(lo + s * delta, lo + (s + w) * delta) for s, w in cells]
+        a, b = (np.array(t) for t in zip(*bounds))
+        i0s, i1s = windows.index_ranges_batch(lo, delta, n, a, b)
+        for i0, i1, (x, y) in zip(i0s.tolist(), i1s.tolist(), bounds):
+            j0, j1 = windows.index_range(lo, delta, n, x, y)
+            # both pick no cell, or the same cells
+            assert (i0, i1) == (j0, j1) or i0 == i1 and j0 == j1
+
 
 def test_kernel_name_reported():
     assert windows.KERNEL == "separable"
