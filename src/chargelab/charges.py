@@ -12,7 +12,9 @@ single window off the lattice (the origin, say) is summed through a direct
 membership mask.  For box bodies with orthant cones the prefix table also
 gives fractional windows, where cells cut by a face count with the fraction
 inside.  On top of it sit the two seminorms: the sup over translates at
-fixed h, and its supremum over all h > 0.
+fixed h, and its supremum over all h > 0.  The windows gain or lose a cell
+center only at the plateau edges (Charge.plateau_edges), where the fixed-h
+seminorm can step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import windows
-from .geometry import ConvexBody, Cone, GeometryError, _lattice_indicator
+from .geometry import (ConvexBody, Cone, GeometryError, _lattice_gauges,
+                       _lattice_indicator)
 from .grids import GridField, GridSpec
 from .golden import golden_min
 
@@ -60,6 +63,7 @@ class SeminormResult:
 class SeminormKResult:
     value: float
     h_opt: float
+    gap: float  # bound on sup_h - value over h <= h_max; 0.0 when exact
 
 
 def box_path(K: ConvexBody, C: Cone) -> bool:
@@ -272,6 +276,40 @@ class Charge:
         ind = _lattice_indicator(K, self.cone, h - windows._TIE * float(np.min(sp)), axes)
         return windows.lattice_window_sums(self.density.values, ind) * g.cell_volume
 
+    def plateau_edges(self, K: ConvexBody, h_max: float) -> np.ndarray:
+        """Sorted h in (0, h_max) past which some window y + hK∩C of
+        seminorm_Kh (at a grid center or the origin) gains a cell center.
+        No window changes its cells on (b_prev, b] between consecutive
+        edges, so neither does seminorm_Kh.
+
+        A window holds the centers strictly inside it, a tie tolerance
+        (windows._TIE cells) away from its boundary.  On the prefix path
+        the ends of a grid center's window pass the centers j = 0, 1, ...
+        cells away at h = (j + tie) sp_k / r_k, and the origin's pass the
+        center c at (|c| + tie sp_k) / r_k (r the bounding radii of K).  The
+        correlation path admits a kernel offset o at h = |o|_K + tie min(sp),
+        and the origin's mask window, which has no tolerance, a center c in
+        the cone at h = |c|_K."""
+        g = self.density.grid
+        sp, radii = g.spacing, K.bounding_radii()
+        tie = windows._TIE
+        if self._fast_path(K):
+            edges = np.concatenate(
+                [part for k in range(g.d) for part in (
+                    (np.arange(g.shape[k]) + tie) * sp[k] / radii[k],
+                    (np.abs(g.axis_centers(k)) + tie * sp[k]) / radii[k])])
+        else:
+            tie *= float(np.min(sp))
+            r = np.minimum(np.floor(h_max * radii / sp),
+                           np.asarray(g.shape) - 1).astype(int)
+            offsets = [np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)]
+            centers = [g.axis_centers(k) for k in range(g.d)]
+            edges = np.concatenate(
+                [_lattice_gauges(K, self.cone, h_max - tie, offsets) + tie,
+                 _lattice_gauges(K, self.cone, h_max, centers)])
+        edges = np.unique(edges)
+        return edges[(edges > 0) & (edges < h_max)]
+
 
 def seminorm_Kh(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
     """Sup over translate centers of |nu(y + hK∩C)|.
@@ -297,21 +335,51 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
 
 def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
                include_h=()) -> SeminormKResult:
-    """sup_{h > 0} of the fixed-h seminorm.
+    """sup over 0 < h <= h_max of the fixed-h seminorm (value), an h_opt
+    that attains it within 1e-9 * (1 + value), and a bound (gap) on how far
+    the value may fall short of the sup.
 
-    A scan of 32 log-spaced probes over [h_max/100, h_max] plus the
-    include_h values, then 20 golden-section steps on log h between the
-    neighbours of the best probe.  Ties are broken to the smallest h
-    achieving the supremum within 1e-9.  Requires h_max at least the
-    gauge diameter of the support for the plateau argument to apply.
+    K∩C is star-shaped about 0, so each window y + hK∩C, and the set of
+    cell centers it holds, grows with h.  A charge of one sign on every
+    cell therefore has a nondecreasing seminorm_Kh, constant on (b_prev, b]
+    between consecutive plateau edges (Charge.plateau_edges).  Its value is
+    one sweep at h_max, exact on the lattice: gap 0.0.  h_opt is the
+    smallest include_h value in (0, h_max] that attains, else the smallest
+    edge (or h_max) that does, the right end of the first plateau that
+    attains; each is a bisection at one sweep per step.
+
+    A signed charge keeps a scan: 32 log-spaced probes over
+    [h_max/100, h_max] plus the include_h values, then 20 golden-section
+    steps on log h between the neighbours of the best probe; h_opt is the
+    smallest of these h that attains.  For h <= h_max,
+    |nu(y + hK∩C)| <= max(nu+, nu-)(y + h_max K∩C), so two sweeps at h_max,
+    over the positive and negative parts, bound every window the scan may
+    have missed: gap is that bound less the value (at least 0.0).
+
+    h_max should be at least the gauge diameter of the support, for the
+    sup over h <= h_max to be the sup over every h > 0.
     """
     if h_max <= 0:
         raise GeometryError("h_max must be positive")
     if nu.is_zero:
-        return SeminormKResult(0.0, h_max)
-    hs = list(np.geomspace(h_max / 100.0, h_max, 32))
-    hs.extend(float(h) for h in include_h if 0 < h <= h_max)
-    hs = sorted(set(hs))
+        return SeminormKResult(0.0, h_max, 0.0)
+    v = nu.density.values
+    extra = sorted({float(h) for h in include_h if 0 < h <= h_max})
+    if np.all(v >= 0) or np.all(v <= 0):
+        best = seminorm_Kh(nu, K, h_max).value
+        tol = 1e-9 * (1.0 + best)
+
+        def attains(h):
+            return seminorm_Kh(nu, K, h).value >= best - tol
+
+        i = _first(attains, extra)
+        if i < len(extra):
+            return SeminormKResult(best, extra[i], 0.0)
+        edges = nu.plateau_edges(K, h_max)
+        # every edge up to the largest include_h value falls short
+        hs = [float(b) for b in edges[edges > (extra[-1] if extra else 0.0)]]
+        return SeminormKResult(best, (hs + [h_max])[_first(attains, hs)], 0.0)
+    hs = sorted(set(np.geomspace(h_max / 100.0, h_max, 32)).union(extra))
     vals = {h: seminorm_Kh(nu, K, h).value for h in hs}
     h_best = max(hs, key=lambda h: vals[h])
     # golden refinement on log h around the best probe
@@ -329,7 +397,23 @@ def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
     best = max(vals.values())
     tol = 1e-9 * (1.0 + abs(best))
     h_opt = min(h for h in hs if vals[h] >= best - tol)
-    return SeminormKResult(best, h_opt)
+    bound = max(seminorm_Kh(Charge(GridField(nu.density.grid, part), nu.cone,
+                                   check_support=False), K, h_max).value
+                for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0)))
+    return SeminormKResult(best, h_opt, max(bound - best, 0.0))
+
+
+def _first(pred, xs) -> int:
+    """Index of the first x in the sorted list xs with pred(x), len(xs) when
+    there is none, by bisection: pred must be False, then True along xs."""
+    lo, hi = -1, len(xs)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(xs[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # -- the extremal density -------------------------------------------------

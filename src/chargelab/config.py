@@ -10,7 +10,7 @@ from pathlib import Path
 
 import yaml
 
-from .geometry import ConvexBody, Cone
+from .geometry import ConvexBody, Cone, cone_has_interior
 
 __all__ = ["ConfigError", "load_config", "validate", "SCHEMAS",
            "body_from_config", "cone_from_config"]
@@ -138,7 +138,8 @@ def body_from_config(d: int, spec: dict | None) -> ConvexBody:
 
 def cone_from_config(d: int, spec: dict | None) -> Cone:
     """The cone a verify config names (R^d by default); a spec that names
-    no valid cone in R^d raises ConfigError."""
+    no valid cone in R^d, or a cone with an empty interior, raises
+    ConfigError."""
     if spec is None:
         return Cone.orthant(d, 0)
     kind = _spec_kind("cone", spec, _CONE_KEYS, "orthant")
@@ -155,4 +156,6 @@ def cone_from_config(d: int, spec: dict | None) -> Cone:
         raise ConfigError(f"cone {spec}: {e}") from e
     if C.d != d:
         raise ConfigError(f"cone normals have dimension {C.d}, not d = {d}")
+    if not cone_has_interior(C):
+        raise ConfigError(f"cone {spec}: the halfspaces share no interior point")
     return C

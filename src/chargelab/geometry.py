@@ -12,9 +12,8 @@ gauge over hK∩C is a cell-center lattice quadrature.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -428,6 +427,16 @@ def _lattice_indicator(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
     return out
 
 
+def _lattice_gauges(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
+    """Sorted distinct gauges below h of the points of the open cone C in
+    the cartesian product of the coordinate arrays in `axes`."""
+    parts = []
+    for pts in _lattice_slabs(axes):
+        g = K.gauge_many(pts)
+        parts.append(np.unique(g[(g < h) & C.member_many(pts)]))
+    return np.unique(np.concatenate(parts))
+
+
 def volume_body_cone(K: ConvexBody, C: Cone) -> VolumeEstimate:
     """Lebesgue measure mu(K∩C), exact wherever K∩C is a p-ball orthant or a
     polytope.
@@ -472,7 +481,6 @@ def _nonempty(vol: float) -> float:
 def _qhull_volume(K: ConvexBody, cone_normals: np.ndarray) -> float:
     """Volume of the polytope K (or the box) cut by the halfspaces
     (x, a) > 0, through qhull at the Chebyshev center of the intersection."""
-    from scipy.optimize import linprog
     from scipy.spatial import ConvexHull, HalfspaceIntersection
 
     d = K.d
@@ -484,15 +492,37 @@ def _qhull_volume(K: ConvexBody, cone_normals: np.ndarray) -> float:
     # K∩C = {x : A x <= b}; the cone rows (x, a) >= 0 have b = 0
     A = np.vstack([facet_normals, -cone_normals])
     b = np.r_[offsets, np.zeros(len(cone_normals))]
-    # Chebyshev center: max y subject to A x + y |A_i| <= b
+    center, radius = _chebyshev_center(A, b)
+    # a largest inscribed ball of rounding size: no interior point for qhull
+    if radius <= 1e-12 * float(np.max(offsets)):
+        raise GeometryError(_EMPTY)
+    hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), center)
+    return float(ConvexHull(hs.intersections).volume)
+
+
+def _chebyshev_center(A: np.ndarray, b: np.ndarray, max_radius=None):
+    """Center and radius of a largest ball inside {x : A x <= b}, the
+    radius capped at max_radius (None: uncapped); radius 0.0 when the
+    linear program fails."""
+    from scipy.optimize import linprog
+
+    d = A.shape[1]
+    # max y subject to A x + y |A_i| <= b
     lp = linprog(np.r_[np.zeros(d), -1.0],
                  A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]), b_ub=b,
-                 bounds=[(None, None)] * d + [(0.0, None)])
-    # a largest inscribed ball of rounding size: no interior point for qhull
-    if not lp.success or lp.x[-1] <= 1e-12 * float(np.max(offsets)):
-        raise GeometryError(_EMPTY)
-    hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), lp.x[:-1])
-    return float(ConvexHull(hs.intersections).volume)
+                 bounds=[(None, None)] * d + [(0.0, max_radius)])
+    if not lp.success:
+        return None, 0.0
+    return lp.x[:-1], float(lp.x[-1])
+
+
+def cone_has_interior(C: Cone) -> bool:
+    """Whether the open cone C is nonempty: a ball of radius 1 fits in the
+    closed cone (scaling any inner ball up)."""
+    if C.kind == "orthant":
+        return True
+    _, radius = _chebyshev_center(-C.normals, np.zeros(len(C.normals)), 1.0)
+    return radius > 0.5
 
 
 def layer_cake_closed_form(K: ConvexBody, C: Cone, h: float, mu_KC: float) -> float:

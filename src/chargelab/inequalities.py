@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 from .charges import (
     Charge,
     _extremal_callbacks,
-    extremal_density,
     grad_sup_polar,
     seminorm_K,
     seminorm_Kh,
@@ -136,6 +135,7 @@ def lk_multiplicative_charge(nu: Charge, K: ConvexBody, C: Cone,
             "grad_sup_polar": gsup,
             "seminorm_K": semK.value,
             "seminorm_K_h_opt": semK.h_opt,
+            "seminorm_K_gap": semK.gap,
         },
     )
     rep.validate()

@@ -12,7 +12,8 @@ from chargelab.charges import (
     seminorm_K,
     seminorm_Kh,
 )
-from chargelab.families import make_density, separable_field, sine_component
+from chargelab.families import (make_density, random_separable_field,
+                                separable_field, sine_component)
 from chargelab.geometry import ConvexBody, Cone, GeometryError
 from chargelab.grids import GridField, GridSpec
 
@@ -391,6 +392,129 @@ class TestSeminormGeneralBody:
         assert res.value == pytest.approx(origin, rel=1e-12)
         np.testing.assert_array_equal(res.argmax, np.zeros(2))
         assert not res.truncated
+
+
+SKEW_CONE = [[1.0, 0.3141], [0.2718, 1.0]]
+# relative tolerances: windows with the same cells read the same up to the
+# rounding of the FFT correlation, whose length changes with h
+SAME_CELLS = 1e-12
+ATTAINS = 1e-9  # seminorm_K's own tolerance for attaining the sup
+
+
+def one_signed_charges():
+    """id -> (nu, K, h_max) for nonnegative charges: extremal charges on the
+    prefix path at d = 1..3, m = 0..d, and on the correlation path (2-ball,
+    hexagon, skewed halfspaces cone), plus |random field| charges whose sup
+    sits away from the origin."""
+    h, cells = 0.9, {1: 24, 2: 14, 3: 7}
+    settings = {f"box-d{d}-m{m}": box_setting(d, m, h, cells[d])
+                for d in (1, 2, 3) for m in range(d + 1)}
+    for name, K, C in [("ball", ConvexBody.pball(2, 2.0), Cone.orthant(2, 0)),
+                       ("hexagon", ConvexBody.polytope(2, vertices=HEXAGON),
+                        Cone.orthant(2, 1)),
+                       ("halfspaces", ConvexBody.box(2), Cone.halfspaces(SKEW_CONE))]:
+        settings[name] = (K, C, GridSpec.for_cone(2, C.m, h, 16, margin=0.3 * h))
+    cases = {name: (lambda K=K, C=C, grid=grid:
+                    (extremal_charge(K, C, h, grid), K, 2.5 * h))
+             for name, (K, C, grid) in settings.items()}
+    for d in (1, 2):
+        cases[f"abs-random-d{d}"] = lambda d=d: abs_random_charge(d)
+    return cases
+
+
+def abs_random_charge(d):
+    grid = GridSpec.for_cone(d, 0, 1.5, 24 if d == 1 else 14)
+    f = random_separable_field(np.random.default_rng(d), grid)
+    C = Cone.orthant(d, 0)
+    return Charge(GridField(grid, np.abs(f.values)), C), ConvexBody.box(d), 3.0
+
+
+ONE_SIGNED = one_signed_charges()
+
+
+@pytest.fixture(params=sorted(ONE_SIGNED))
+def one_signed(request):
+    nu, K, h_max = ONE_SIGNED[request.param]()
+    return nu, K, h_max, [float(b) for b in nu.plateau_edges(K, h_max)]
+
+
+def seminorm_at(nu, K):
+    return lambda h: seminorm_Kh(nu, K, h).value
+
+
+class TestSeminormKExact:
+    """The exact path of seminorm_K: a charge of one sign."""
+
+    def test_value_is_one_sweep_at_h_max(self, one_signed):
+        nu, K, h_max, _ = one_signed
+        res = seminorm_K(nu, K, h_max)
+        assert res.value == seminorm_Kh(nu, K, h_max).value
+        assert res.gap == 0.0
+
+    def test_value_bounds_a_dense_scan(self, one_signed):
+        nu, K, h_max, edges = one_signed
+        V = seminorm_at(nu, K)
+        res = seminorm_K(nu, K, h_max)
+        dense = set(edges) | set(np.linspace(h_max / 400, h_max, 400))
+        dense |= {(a + b) / 2 for a, b in zip(edges, edges[1:])}
+        assert max(V(h) for h in dense) <= res.value * (1 + SAME_CELLS)
+
+    def test_seminorm_is_constant_between_edges(self, one_signed):
+        # just above an edge and just below the next, seminorm_Kh reads the
+        # same: the edges hold every step, each where it happens
+        nu, K, h_max, edges = one_signed
+        V = seminorm_at(nu, K)
+        eps = 1e-3 * windows._TIE * float(np.min(nu.density.grid.spacing
+                                                  / K.bounding_radii()))
+        for a, b in zip([0.0] + edges, edges + [h_max]):
+            if b - a <= 2 * eps:  # twins from rounding
+                continue
+            lo, hi = V(a + eps), V(b - eps)
+            assert hi == pytest.approx(lo, rel=SAME_CELLS, abs=1e-300), (a, b)
+            assert V((a + b) / 2) == pytest.approx(lo, rel=SAME_CELLS, abs=1e-300)
+
+    def test_h_opt_attains_and_the_previous_edge_does_not(self, one_signed):
+        nu, K, h_max, edges = one_signed
+        V = seminorm_at(nu, K)
+        res = seminorm_K(nu, K, h_max)
+        candidates = edges + [h_max]
+        i = candidates.index(res.h_opt)
+        floor = res.value - ATTAINS * (1 + res.value)
+        assert V(res.h_opt) >= floor
+        assert i == 0 or V(candidates[i - 1]) < floor
+
+    def test_include_h_that_attains_comes_first(self):
+        K, C, grid = box_setting(2, 1, 0.9, 24)
+        nu = extremal_charge(K, C, 0.9, grid)
+        res = seminorm_K(nu, K, 2.25, include_h=[0.9, 2.0])
+        assert res.h_opt == 0.9
+        # a value that falls short is passed over for the edges above it
+        res = seminorm_K(nu, K, 2.25, include_h=[0.3])
+        assert 0.3 < res.h_opt < 0.9 * (1 + 0.05)
+        assert res.h_opt in nu.plateau_edges(K, 2.25)
+
+    def test_nonpositive_charge_mirrors(self):
+        K, C, grid = box_setting(2, 0, 0.9, 14)
+        nu = extremal_charge(K, C, 0.9, grid)
+        neg = Charge(GridField(grid, -nu.density.values), C)
+        a, b = seminorm_K(nu, K, 2.25), seminorm_K(neg, K, 2.25)
+        assert (a.value, a.h_opt, a.gap) == (b.value, b.h_opt, b.gap)
+
+
+class TestSeminormKSigned:
+    @pytest.mark.parametrize("seed,d", [(0, 1), (1, 1), (2, 2), (3, 2)])
+    def test_gap_bounds_every_probe(self, seed, d):
+        grid = GridSpec.for_cone(d, 0, 1.5, 48 if d == 1 else 20)
+        f = random_separable_field(np.random.default_rng(seed), grid)
+        nu, K = Charge(f, Cone.orthant(d, 0)), ConvexBody.box(d)
+        assert f.values.min() < 0 < f.values.max()
+        h_max = 3.0
+        res = seminorm_K(nu, K, h_max)
+        assert res.gap >= 0.0
+        probes = set(np.geomspace(h_max / 1000, h_max, 300))
+        probes |= set(float(b) for b in nu.plateau_edges(K, h_max))
+        for h in probes:
+            assert seminorm_Kh(nu, K, h).value <= res.value + res.gap + 1e-12, h
 
 
 class TestZeroCharge:

@@ -115,9 +115,12 @@ class TestVerifyCommand:
         "body: {kind: polytope, vertices: [[1, 0], [-1, 0]]}",
         "cone: {kind: halfspaces, normals: [[0, 0], [0, 1]]}",
         "cone: {kind: orthant, m: 1.5}",
+        "cone: {kind: halfspaces, normals: [[1, 0], [-1, 0]]}",
+        "cone: {kind: halfspaces, normals: [[1, 1], [-1, -1], [0, 1]]}",
     ], ids=["misspelt-body-key", "misspelt-cone-key", "no-normals",
             "normals-of-dimension-3", "p-not-a-number", "empty-polytope",
-            "p-below-1", "flat-polytope", "zero-normal", "fractional-m"])
+            "p-below-1", "flat-polytope", "zero-normal", "fractional-m",
+            "cone-in-a-line", "cone-in-a-ray"])
     def test_invalid_body_or_cone_exit_2(self, tmp_path, capsys, spec):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"case: nagy-extremal\nd: 2\ngrid: 32\n{spec}\n")
