@@ -17,7 +17,12 @@ of every case are checked against `box_window_sum_direct`.
 The general-body cases time `seminorm_Kh` for the 2-ball and the regular
 hexagon (circumradius 1) on the extremal density (h - |x|_K)_+ at h = 1,
 on 24^2 and 48^2 cells as in lkbench's `general-body` workload; each value
-is checked against the origin's mask window, where the sup is attained.
+is checked against an independent midpoint sum of that density over the
+cell centers of the origin's window, where the sup is attained.  The
+single-window cases time one `Charge.window_value` at the origin on the
+same extremal densities: the box with m = 1 on 64^3 cells (lkbench's
+`box-hsup`), the 2-ball and the hexagon on 24^2 cells and the 3-ball on
+96^3 cells, each checked against the same independent sum.
 
 The deviation cases time `deviation_sup` on the box body's extremal charge
 with its prefix table already built (the seminorm builds it first in every
@@ -70,6 +75,9 @@ REPEATS = 15  # timed calls per case (50x that for the single query)
 # body, cells per axis (general-body cases)
 GENERAL_CASES = [("ball", 24), ("hexagon", 24), ("ball", 48), ("hexagon", 48)]
 GENERAL_REPEATS = 3
+# body, d, m, cells per axis, timed calls (single-window cases, h = 1)
+SINGLE_CASES = [("box", 3, 1, 64, 200), ("ball", 2, 0, 24, 500),
+                ("hexagon", 2, 0, 24, 500), ("ball", 3, 0, 96, 50)]
 # deviation cases: label, d, m, h, cells per axis, grid margin over h
 DEVIATION_CASES = [("box-hsup", 3, 1, 1.0, 64, 0.25),
                    ("criterion 04", 3, 1, 1.0, 96, 0.3),
@@ -137,18 +145,49 @@ def kernel_rows(windows):
     return rows
 
 
-def general_rows():
-    from chargelab import Cone, ConvexBody, GridSpec, extremal_charge, seminorm_Kh
+def own_gauge(name, X):
+    """The bench's own gauges of the points X (shape (..., d)): the max norm,
+    the Euclidean norm, and the regular hexagon with circumradius 1 (facet
+    normals at pi/6 + k pi/3, inradius sqrt(3)/2)."""
+    if name == "box":
+        return np.abs(X).max(axis=-1)
+    if name == "ball":
+        return np.sqrt((X * X).sum(axis=-1))
+    angles = math.pi / 6 + np.arange(6) * math.pi / 3
+    normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return (X @ normals.T).max(axis=-1) / (math.sqrt(3) / 2)
 
-    hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
-    bodies = {"ball": ConvexBody.pball(2, 2.0),
-              "hexagon": ConvexBody.polytope(2, vertices=hexagon)}
-    C, h = Cone.orthant(2, 0), 1.0
+
+def origin_window(name, grid, m, h):
+    """Midpoint sum of (h - |x|)_+ over the centers x with |x| < h and
+    x_k > 0 for k < m: the origin's window on the extremal density."""
+    X = np.stack(np.meshgrid(*[grid.axis_centers(k) for k in range(grid.d)],
+                             indexing="ij"), axis=-1)
+    g = own_gauge(name, X)
+    inside = (g < h) & np.all(X[..., :m] > 0, axis=-1)
+    return float(np.where(inside, h - g, 0.0).sum()) * grid.cell_volume
+
+
+def extremal_case(name, d, m, n, h):
+    from chargelab import Cone, ConvexBody, GridSpec, extremal_charge
+
+    if name == "hexagon":
+        K = ConvexBody.polytope(2, vertices=[
+            (math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)])
+    else:
+        K = ConvexBody.box(d) if name == "box" else ConvexBody.pball(d, 2.0)
+    grid = GridSpec.for_cone(d, m, h, n, margin=0.25 * h)
+    return K, extremal_charge(K, Cone.orthant(d, m), h, grid)
+
+
+def general_rows():
+    from chargelab import seminorm_Kh
+
+    h = 1.0
     rows = []
     for name, n in GENERAL_CASES:
-        K = bodies[name]
-        nu = extremal_charge(K, C, h, GridSpec.for_cone(2, 0, h, n, margin=0.25 * h))
-        origin = nu.window_value(K, np.zeros(2), h, "mask").value
+        K, nu = extremal_case(name, 2, 0, n, h)
+        origin = origin_window(name, nu.density.grid, 0, h)
         times = []
         for _ in range(GENERAL_REPEATS):
             t0 = time.perf_counter()
@@ -156,10 +195,34 @@ def general_rows():
             times.append(time.perf_counter() - t0)
             if abs(value - origin) > 1e-9 * abs(origin):
                 raise SystemExit(f"seminorm_Kh {name} n={n}: {value!r}, "
-                                 f"origin mask window {origin!r}")
+                                 f"origin window sum {origin!r}")
         rows.append({"case": f"seminorm_Kh {name} n={n}", "cells": n * n,
                      "repeats": GENERAL_REPEATS, "best_ms": 1e3 * min(times),
                      "median_ms": 1e3 * statistics.median(times), "value": value})
+    return rows
+
+
+def single_window_rows():
+    h = 1.0
+    rows = []
+    for name, d, m, n, repeats in SINGLE_CASES:
+        K, nu = extremal_case(name, d, m, n, h)
+        origin = origin_window(name, nu.density.grid, m, h)
+        y = np.zeros(d)
+        # the first call also builds whatever the charge caches
+        value = nu.window_value(K, y, h).value
+        if abs(value - origin) > 1e-9 * abs(origin):
+            raise SystemExit(f"window_value {name} d={d} n={n}: {value!r}, "
+                             f"origin window sum {origin!r}")
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            nu.window_value(K, y, h)
+            times.append(time.perf_counter() - t0)
+        rows.append({"case": f"window_value origin {name} d={d} m={m} n={n}",
+                     "cells": n**d, "repeats": repeats,
+                     "best_us": 1e6 * min(times),
+                     "median_us": 1e6 * statistics.median(times), "value": value})
     return rows
 
 
@@ -323,8 +386,9 @@ def main(argv=None) -> int:
         return 0
     rows = kernel_rows(windows)
     general = general_rows()
+    single = single_window_rows()
     deviation = deviation_rows(args.src)
-    for row in rows + general + deviation:
+    for row in rows + general + single + deviation:
         print(json.dumps(row))
     if not args.label:
         return 0
@@ -337,6 +401,7 @@ def main(argv=None) -> int:
     kernel[args.label] = {"engine": windows.KERNEL, "rows": rows}
     gen = bench.setdefault("general_body", {})
     gen[args.label] = {"rows": general}
+    bench.setdefault("single_window", {})[args.label] = {"rows": single}
     dev = bench.setdefault("deviation", {})
     dev[args.label] = {"rows": deviation}
     bench.setdefault("criterion01_s", {})[args.label] = crit

@@ -7,9 +7,10 @@ makes every decision about windows: their per-axis extent, whether they lie
 inside the grid (Charge.full_windows), and which engine sums them
 (box_path).  The values at every grid center come from the prefix-sum
 engine for box bodies with orthant cones, and from one lattice correlation
-of the density with the indicator of hK∩C for every other body and cone; a
-single window off the lattice (the origin, say) is summed through a direct
-membership mask.  For box bodies with orthant cones the prefix table also
+of the density with the indicator of hK∩C for every other body and cone.  A
+single window at any point (the origin, say) sums the density over the
+cells of its own bounding box, under its batch engine's membership rule and
+tie tolerance.  For box bodies with orthant cones the prefix table also
 gives fractional windows, where cells cut by a face count with the fraction
 inside.  On top of it sit the two seminorms: the sup over translates at
 fixed h, and its supremum over all h > 0.  The windows gain or lose a cell
@@ -188,43 +189,48 @@ class Charge:
 
     def window_value(self, K: ConvexBody, y, h: float,
                      method: str = "auto") -> WindowValue:
-        """nu(y + hK∩C) by midpoint quadrature: "prefix" (box body with
-        orthant cone) and "mask" (any) count the cells whose centers lie
-        inside, "overlap" (box with orthant) the fractional window."""
+        """nu(y + hK∩C) by midpoint quadrature, summed over the cells of
+        the window's own bounding box under the rule of its batch engine
+        (window_values_all): "auto" counts the cells whose centers lie
+        inside, and "overlap" (box body with orthant cone) takes the
+        fractional window of fractional_values_all.
+
+        A box body with an orthant cone holds the cells of the per-axis
+        index ranges of its ends (windows.index_range).  Every other body
+        and cone widens those ranges by one cell on each side and keeps the
+        centers c with c - y in the open set (h - tie) K∩C, the tolerance
+        of the lattice correlation."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.cone.d,):
             raise GeometryError("translate has wrong dimension")
         if h <= 0:
             raise GeometryError("h must be positive")
+        if method not in ("auto", "overlap"):
+            raise GeometryError(f"unknown window method {method!r}")
         g = self.density.grid
-        if method == "auto":
-            method = "prefix" if self._fast_path(K) else "mask"
-        if method in ("prefix", "overlap"):
-            if not self._fast_path(K):
-                raise GeometryError(f"{method} path needs box body + orthant cone")
-            wlo, whi = self._window_bounds(K, h, y)
-            if method == "overlap":
-                s = self._box_sums([np.array([a]) for a in wlo],
-                                   [np.array([b]) for b in whi], fractional=True)
-            else:
-                # the scalar index_range: a one-element batch costs about
-                # 17 times as much per axis
-                ranges = [windows.index_range(g.lo[k], g.spacing[k], g.shape[k],
-                                              wlo[k], whi[k]) for k in range(g.d)]
-                i0s, i1s = ([np.array([r[j]]) for r in ranges] for j in (0, 1))
-                s = windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
-            return WindowValue(float(s.reshape(-1)[0]), self._truncation_flag(wlo, whi))
-        if method == "mask":
-            total = 0.0
-            flat = self.density.values.reshape(-1)
-            for sl, pts in g.iter_center_chunks():
-                u = pts - y[None, :]
-                inside = (K.gauge_many(u) < h) & self.cone.member_many(u)
-                if inside.any():
-                    total += float(flat[sl][inside].sum())
-            return WindowValue(total * g.cell_volume,
-                               self._truncation_flag(*self._window_bounds(K, h, y)))
-        raise GeometryError(f"unknown window method {method!r}")
+        wlo, whi = self._window_bounds(K, h, y)
+        truncated = self._truncation_flag(wlo, whi)
+        box = self._fast_path(K)
+        if method == "overlap":
+            if not box:
+                raise GeometryError("overlap path needs box body + orthant cone")
+            s = self._box_sums([np.array([a]) for a in wlo],
+                               [np.array([b]) for b in whi], fractional=True)
+            return WindowValue(float(s.reshape(-1)[0]), truncated)
+        ranges = [windows.index_range(lo, sp, n, a, b) for lo, sp, n, a, b
+                  in zip(g.lo, g.spacing, g.shape, wlo, whi)]
+        if not box:
+            ranges = [(max(i0 - 1, 0), min(i1 + 1, n))
+                      for (i0, i1), n in zip(ranges, g.shape)]
+        if any(i1 <= i0 for i0, i1 in ranges):
+            return WindowValue(0.0, truncated)
+        cells = self.density.values[tuple(slice(i0, i1) for i0, i1 in ranges)]
+        if not box:
+            offsets = [g.axis_centers(k)[i0:i1] - y[k]
+                       for k, (i0, i1) in enumerate(ranges)]
+            tie = windows._TIE * float(np.min(g.spacing))
+            cells = cells * _lattice_indicator(K, self.cone, h - tie, offsets)
+        return WindowValue(float(cells.sum()) * g.cell_volume, truncated)
 
     def window_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
         """nu(y + hK∩C) for y at every grid center.
@@ -286,10 +292,10 @@ class Charge:
         (windows._TIE cells) away from its boundary.  On the prefix path
         the ends of a grid center's window pass the centers j = 0, 1, ...
         cells away at h = (j + tie) sp_k / r_k, and the origin's pass the
-        center c at (|c| + tie sp_k) / r_k (r the bounding radii of K).  The
-        correlation path admits a kernel offset o at h = |o|_K + tie min(sp),
-        and the origin's mask window, which has no tolerance, a center c in
-        the cone at h = |c|_K."""
+        center c at (|c| + tie sp_k) / r_k (r the bounding radii of K).  On
+        the correlation path a grid center's window admits a kernel offset o
+        in the cone at h = |o|_K + tie min(sp), and the origin's a center c
+        in the cone at h = |c|_K + tie min(sp)."""
         g = self.density.grid
         sp, radii = g.spacing, K.bounding_radii()
         tie = windows._TIE
@@ -305,8 +311,8 @@ class Charge:
             offsets = [np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)]
             centers = [g.axis_centers(k) for k in range(g.d)]
             edges = np.concatenate(
-                [_lattice_gauges(K, self.cone, h_max - tie, offsets) + tie,
-                 _lattice_gauges(K, self.cone, h_max, centers)])
+                [_lattice_gauges(K, self.cone, h_max - tie, a) + tie
+                 for a in (offsets, centers)])
         edges = np.unique(edges)
         return edges[(edges > 0) & (edges < h_max)]
 

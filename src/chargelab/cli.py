@@ -205,17 +205,20 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
               [[r[k] for k in columns] for r in rows])
 
     # numerically attained points from extremal inputs
+    n = cfg["grid"]
+    if n is None:
+        n = 64 if setting.kind == "mixed" else 512 if d == 1 else 128
     att_N, att_E = [], []
     for h in cfg["h_attained"]:
         h = float(h)
         if setting.kind == "charge":
-            grid = _charge_grid(d, m, h, cfg["grid"] if d == 1 else 128)
+            grid = _charge_grid(d, m, h, n)
             nu = extremal_charge(setting.K, setting.C, h, grid)
             p = SteklovParams(K=setting.K, C=setting.C, h=h, mu=setting.mu)
             att_N.append(steklov_norm(p))
             att_E.append(deviation_sup(nu, p).value)
         else:
-            grid = GridSpec.for_cone(d, m, 1.5 * h, 64)
+            grid = GridSpec.for_cone(d, m, 1.5 * h, n)
             f = (
                 extremal_mixed_m0(h, d, grid)
                 if m == 0

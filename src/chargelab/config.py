@@ -43,7 +43,7 @@ SCHEMAS = {
         "delta_min": (float, 0.01),
         "delta_max": (float, 10.0),
         "h_attained": (list, [0.5, 1.0, 2.0]),
-        "grid": (int, 512),
+        "grid": (int, None),
         "seed": (int, 0),
     },
     "recover": {

@@ -174,10 +174,6 @@ class ConvexBody:
         scores /= self.facet_offsets
         return scores
 
-    def polar_norm(self, x) -> float:
-        x = _as_vector(x, self.d)
-        return float(self.polar_norm_many(x[None, :])[0])
-
     def polar_norm_many(self, X: np.ndarray) -> np.ndarray:
         """Dual norm |x|_{K°} = sup_{y in K} (x, y) for an (N, d) array."""
         X = np.asarray(X, dtype=float)
@@ -338,12 +334,6 @@ class Cone:
             raise GeometryError("halfspace normals must be finite and nonzero")
         A = A / norms[:, None]
         return cls(d=A.shape[1], kind="halfspaces", m=0, normals=A)
-
-    def member(self, x) -> bool:
-        x = _as_vector(x, self.d)
-        if self.kind == "orthant":
-            return bool(np.all(x[: self.m] > 0))
-        return bool(np.all(self.normals @ x > 0))
 
     def member_closure(self, x) -> bool:
         x = _as_vector(x, self.d)

@@ -11,7 +11,6 @@ search for m >= 2 where no proof is known.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,6 @@ __all__ = [
     "sharpness_search",
     "SharpnessResult",
     "default_h_max",
-    "minimize_additive_bound",
     "box_corner_integral",
 ]
 
@@ -166,26 +164,6 @@ def nagy_inequality(f: GridField, K: ConvexBody, C: Cone, h: float,
     )
     rep.validate()
     return rep
-
-
-def minimize_additive_bound(gradsup: float, sem: float, mu: float, d: int):
-    """Golden-section minimum over h of (dh/(d+1))*gradsup + sem/(h^d mu),
-    200 steps over log h in [log h0 - 5, log h0 + 5] around the closed form.
-
-    Returns (h_star, value); the closed-form minimizer is
-    ((d+1) sem / (mu gradsup))^(1/(d+1)) and the minimum equals the
-    multiplicative bound.
-    """
-    if gradsup <= 0 or sem <= 0:
-        raise GeometryError("need positive gradient sup and seminorm")
-
-    def bound(logh):
-        h = math.exp(logh)
-        return d * h / (d + 1) * gradsup + sem / (h**d * mu)
-
-    h0 = ((d + 1) * sem / (mu * gradsup)) ** (1.0 / (d + 1))
-    t, val = golden_min(bound, math.log(h0) - 5.0, math.log(h0) + 5.0, iters=200)
-    return math.exp(t), val
 
 
 # -- mixed-derivative inequalities ----------------------------------------

@@ -77,23 +77,15 @@ def omega(setting: ProblemSetting, delta: float) -> float:
 
 def stechkin_error(setting: ProblemSetting, N: float) -> float:
     """Best approximation by bounded operators of norm <= N."""
-    if N <= 0:
-        raise GeometryError("N must be positive")
     d = setting.d
-    if setting.kind == "charge":
-        return d / (d + 1) * (1.0 / (N * setting.mu)) ** (1.0 / d)
-    return d / (d + 1) * (2**setting.m / N) ** (1.0 / d)
+    return d / (d + 1) * optimal_h_for_N(setting, N)
 
 
 def optimal_h_for_delta(setting: ProblemSetting, delta: float) -> float:
-    """Window radius minimizing the additive bound at data error delta;
-    the resulting bound value equals omega(delta) exactly."""
-    if delta <= 0:
-        raise GeometryError("delta must be positive")
-    d = setting.d
-    if setting.kind == "charge":
-        return ((d + 1) * delta / setting.mu) ** (1.0 / (d + 1))
-    return ((d + 1) * 2**setting.m * delta) ** (1.0 / (d + 1))
+    """Window radius minimizing the additive bound at data error delta.
+    It has the closed form of omega(delta), which is also the bound's
+    minimum value."""
+    return omega(setting, delta)
 
 
 def optimal_h_for_N(setting: ProblemSetting, N: float) -> float:

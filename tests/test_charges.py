@@ -25,6 +25,19 @@ def box_setting(d, m, h, n=96):
     return K, C, grid
 
 
+def _mask_window(nu, K, y, h):
+    """Reference window value: the density summed over every grid center c
+    with |c - y|_K < h and c - y in the open cone, with no tie tolerance."""
+    grid = nu.density.grid
+    flat = nu.density.values.reshape(-1)
+    total = 0.0
+    for sl, pts in grid.iter_center_chunks():
+        u = pts - y[None, :]
+        inside = (K.gauge_many(u) < h) & nu.cone.member_many(u)
+        total += float(flat[sl][inside].sum())
+    return total * grid.cell_volume
+
+
 class TestWindowValue:
     def test_prefix_direct_mask_agree_box(self):
         K, C, grid = box_setting(2, 1, 1.0, 64)
@@ -33,13 +46,13 @@ class TestWindowValue:
         for _ in range(25):
             y = rng.uniform([-0.2, -1.0], [1.0, 1.0])
             h = rng.uniform(0.1, 0.8)
-            vp = nu.window_value(K, y, h, "prefix").value
+            vp = nu.window_value(K, y, h).value
             wlo, whi = nu._window_bounds(K, h, y)
             ranges = [windows.index_range(grid.lo[k], grid.spacing[k], grid.shape[k],
                                           wlo[k], whi[k]) for k in range(2)]
             vd = windows.box_window_sum_direct(
                 nu.density.values, *zip(*ranges)) * grid.cell_volume
-            vm = nu.window_value(K, y, h, "mask").value
+            vm = _mask_window(nu, K, y, h)
             assert vp == pytest.approx(vd, abs=1e-12)
             assert vp == pytest.approx(vm, abs=1e-12)
 
@@ -65,7 +78,7 @@ class TestWindowValue:
             if inside.any():
                 acc += float(f.value_fn(pts[inside]).sum())
         oracle = acc * fine.cell_volume
-        got = nu.window_value(K2, y, h, "mask").value
+        got = nu.window_value(K2, y, h).value
         assert got == pytest.approx(oracle, abs=3e-3)
 
     def test_window_additivity_in_disjoint_translates(self):
@@ -101,7 +114,7 @@ class TestWindowValue:
         for k in (4, 10, 16):
             y = grid.lo + 24 * grid.spacing
             h = k * sp
-            vp = nu.window_value(K, y, h, "prefix").value
+            vp = nu.window_value(K, y, h).value
             vo = nu.window_value(K, y, h, "overlap").value
             assert vo == pytest.approx(vp, abs=1e-12)
 
@@ -138,6 +151,26 @@ class TestWindowValue:
             assert S.reshape(-1)[i] == pytest.approx(
                 nu.window_value(K, y, 0.5).value, abs=1e-12
             )
+
+    def test_only_auto_and_overlap_methods(self):
+        K, C, grid = box_setting(2, 1, 0.8, 16)
+        nu = extremal_charge(K, C, 0.8, grid)
+        y = np.array([0.1, 0.0])
+        for method in ("prefix", "mask", "direct"):
+            with pytest.raises(GeometryError):
+                nu.window_value(K, y, 0.5, method)
+        ball = ConvexBody.pball(2, 2.0)
+        with pytest.raises(GeometryError):
+            nu.window_value(ball, y, 0.5, "overlap")
+
+    @pytest.mark.parametrize("body", ["box", "ball"])
+    def test_window_off_the_grid_is_zero(self, body):
+        # every per-axis index range is empty: no cell, value 0.0
+        K = ConvexBody.box(2) if body == "box" else ConvexBody.pball(2, 2.0)
+        grid = GridSpec.for_cone(2, 0, 1.0, 16, margin=0.25)
+        nu = extremal_charge(K, Cone.orthant(2, 0), 1.0, grid)
+        wv = nu.window_value(K, np.array([5.0, -7.0]), 0.5)
+        assert wv.value == 0.0 and not wv.truncated
 
 
 class TestSupportMargin:
@@ -338,10 +371,44 @@ class TestLatticeCorrelation:
                 for h in (0.37, 0.71):
                     assert _offsets_off_boundary(K, C, h, grid), (K, C, h)
                     S = nu._correlation_values_all(K, h)
-                    mask = [nu.window_value(K, grid.flat_to_point(i), h, "mask").value
+                    mask = [_mask_window(nu, K, grid.flat_to_point(i), h)
                             for i in range(grid.size)]
                     np.testing.assert_allclose(
                         S.reshape(-1), mask, rtol=0, atol=atol,
+                        err_msg=f"{K.kind} p={K.p} {C.kind} m={C.m} h={h}")
+
+    def test_origin_window_keeps_the_correlation_tie(self):
+        # h = one spacing puts the four nearest centers on the boundary of
+        # the origin's window; a scan without tolerance kept some of them
+        grid = GridSpec(np.full(2, -1.05), np.full(2, 1.05), (21, 21))
+        vals = np.random.default_rng(0).random(grid.shape)
+        nu = Charge(GridField(grid=grid, values=vals), Cone.orthant(2, 0),
+                    check_support=False)
+        K = ConvexBody.pball(2, 2.0)
+        assert grid.axis_centers(0)[10] == 0.0
+        single = nu.window_value(K, np.zeros(2), 0.1).value
+        assert single == pytest.approx(nu.window_values_all(K, 0.1)[10, 10],
+                                       rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(1, 24), (2, 10), (3, 5)])
+    def test_window_value_matches_batch_at_every_center(self, d, n):
+        # h of one and two spacings puts centers on the window boundaries,
+        # where the single window must apply its batch engine's tie rule
+        rng = np.random.default_rng(20 + d)
+        for C in _general_cones(d):
+            m = C.m if C.kind == "orthant" else 0
+            grid = GridSpec.for_cone(d, m, 1.0, n)
+            sp = grid.spacing
+            vals = rng.standard_normal(grid.shape)
+            nu = Charge(GridField(grid=grid, values=vals), C, check_support=False)
+            atol = 1e-12 * float(np.abs(vals).sum()) * grid.cell_volume
+            for K in [ConvexBody.box(d)] + _general_bodies(d):
+                for h in (float(np.min(sp)), 2 * float(np.max(sp)), 0.37):
+                    single = [nu.window_value(K, grid.flat_to_point(i), h).value
+                              for i in range(grid.size)]
+                    np.testing.assert_allclose(
+                        single, nu.window_values_all(K, h).reshape(-1),
+                        rtol=0, atol=atol,
                         err_msg=f"{K.kind} p={K.p} {C.kind} m={C.m} h={h}")
 
     @pytest.mark.parametrize("d,n", [(1, 40), (2, 24), (3, 16)])
@@ -379,7 +446,7 @@ class TestSeminormGeneralBody:
         best = 0.0
         for _, pts in grid.iter_center_chunks():
             for y in pts:
-                best = max(best, abs(nu.window_value(K, y, h, "mask").value))
+                best = max(best, abs(_mask_window(nu, K, y, h)))
         assert fast == pytest.approx(best, abs=1e-10)
 
     def test_large_grid_general_body_matches_origin_window(self):
@@ -388,7 +455,7 @@ class TestSeminormGeneralBody:
         grid = GridSpec.for_cone(2, 0, 1.0, 512, margin=0.3)
         nu = extremal_charge(K2, C, 1.0, grid)
         res = seminorm_Kh(nu, K2, 1.0)
-        origin = nu.window_value(K2, np.zeros(2), 1.0, "mask").value
+        origin = nu.window_value(K2, np.zeros(2), 1.0).value
         assert res.value == pytest.approx(origin, rel=1e-12)
         np.testing.assert_array_equal(res.argmax, np.zeros(2))
         assert not res.truncated

@@ -167,6 +167,15 @@ class TestOtherCommands:
         cfg.write_text("setting: mixed\nd: 2\nm: 1\nh_attained: [0.5, 1.0]\n")
         assert run(["stechkin-curve", "--config", cfg, "--out", tmp_path]) == 0
 
+    def test_stechkin_curve_honours_grid(self, tmp_path):
+        # the attained points are measured on the grid asked for, at d >= 2 too
+        written = []
+        for n in (32, 64):
+            out = tmp_path / f"grid{n}"
+            assert run(["stechkin-curve", "--d", 2, "--grid", n, "--out", out]) == 0
+            written.append((out / "attained_points.csv").read_bytes())
+        assert written[0] != written[1]
+
     def test_recover_demo(self, tmp_path):
         code = run(["recover", "--d", 1, "--deltas", "0.1,1.0",
                     "--grid", 256, "--out", tmp_path])

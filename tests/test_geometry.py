@@ -66,7 +66,7 @@ class TestGauge:
     def test_hexagon_polar_against_vertex_sup(self):
         K = ConvexBody.polytope(2, vertices=HEX_VERTS)
         for pt, val in HEX_POLAR_ORACLE:
-            assert K.polar_norm(np.array(pt)) == pytest.approx(val, rel=1e-9)
+            assert K.polar_norm_many(np.array([pt]))[0] == pytest.approx(val, rel=1e-9)
 
     @given(finite_vectors(3), st.floats(0.0, 10.0))
     @settings(max_examples=100, deadline=None)
@@ -152,8 +152,9 @@ class TestPolytopeConstruction:
 class TestCone:
     def test_orthant_membership_open_vs_closed(self):
         C = Cone.orthant(3, 2)
-        assert C.member([0.1, 0.2, -5.0])
-        assert not C.member([0.0, 0.2, 1.0])  # boundary excluded (open)
+        assert C.member_many(np.array([[0.1, 0.2, -5.0]]))[0]
+        # boundary excluded (open)
+        assert not C.member_many(np.array([[0.0, 0.2, 1.0]]))[0]
         assert C.member_closure([0.0, 0.2, 1.0])
         assert not C.member_closure([-0.1, 0.2, 1.0])
 

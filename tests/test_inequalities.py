@@ -16,7 +16,6 @@ from chargelab.inequalities import (
     lk_additive_mixed,
     lk_multiplicative_charge,
     lk_multiplicative_mixed,
-    minimize_additive_bound,
     mixed_deviation_sup,
     nagy_inequality,
     sharpness_search,
@@ -90,17 +89,6 @@ class TestMultiplicativeCharge:
             f = random_separable_field(rng, grid)
             rep = lk_multiplicative_charge(Charge(f, C), K, C)
             assert rep.slack >= -1e-6
-
-    def test_matches_minimized_additive_bound(self):
-        # inf over h of the additive bound equals the multiplicative product
-        gradsup, sem, mu, d = 0.7, 0.3, 2.0, 2
-        h_star, val = minimize_additive_bound(gradsup, sem, mu, d)
-        want = ((d + 1) / mu) ** (1 / (d + 1)) * gradsup ** (d / (d + 1)) * (
-            sem ** (1 / (d + 1))
-        )
-        assert val == pytest.approx(want, rel=1e-10)
-        h0 = ((d + 1) * sem / (mu * gradsup)) ** (1 / (d + 1))
-        assert h_star == pytest.approx(h0, rel=1e-6)
 
 
 class TestNagy:
