@@ -33,6 +33,13 @@ process that also reports its peak resident set size.  Each value is
 checked against the sharp d h / (d + 1).  One more row times
 `Charge._support_box` on the d = 3, n = 256 extremal field.
 
+The mixed-recovery cases time `recover_derivative` in the mixed setting
+(box body, orthant cone R^m_+ x R^(d-m)) on the "sin" density at delta
+0.05, on `GridSpec.for_cone(d, m, 2, n)`: d = 1, m = 1 at 512 cells,
+d = 2, m = 1 at 128 and 256, d = 3, m = 1 at 64 and m = 0 at 96.  Each
+estimate is checked against an independent sum over the 2^d stencil
+corners, and its mask against the centers whose stencil fits the grid.
+
 With --label the rows are stored in the --out file (BENCH_windows.json by
 default) under that label, next to the Python, NumPy and SciPy versions and
 the processor count and the wall time of acceptance criterion 01's
@@ -84,6 +91,9 @@ DEVIATION_CASES = [("box-hsup", 3, 1, 1.0, 64, 0.25),
                    ("criterion 04", 3, 3, 2.0, 96, 0.3)]
 RSS_CASE = ("verify grid 128", 3, 0, 1.0, 128, 0.25)
 DEVIATION_REPEATS = 5
+# mixed-recovery cases: d, m, cells per axis, timed calls (delta 0.05)
+MIXED_CASES = [(1, 1, 512, 400), (2, 1, 128, 200), (2, 1, 256, 50),
+               (3, 1, 64, 50), (3, 0, 96, 20)]
 LKBENCH_NAME = re.compile(r"(?P<workload>[\w-]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 
 
@@ -286,6 +296,57 @@ def deviation_rows(src):
     return rows
 
 
+def stencil_sum(values, m, ks):
+    """The composed difference (unscaled) at the centers whose stencil
+    fits, by its 2^d corners: offsets (k, +1) and (0, -1) on the first m
+    axes, (k, +1) and (-k, -1) on the others, k = ks[axis] cells; and the
+    slices of those centers."""
+    d, n = values.ndim, values.shape
+    below = [0 if i < m else ks[i] for i in range(d)]
+    inner = tuple(slice(below[i], n[i] - ks[i]) for i in range(d))
+    total = np.zeros(tuple(s.stop - s.start for s in inner))
+    for corner in np.ndindex(*(2,) * d):
+        offs = [ks[i] if c == 0 else -below[i] for i, c in enumerate(corner)]
+        at = tuple(slice(below[i] + o, n[i] - ks[i] + o) for i, o in enumerate(offs))
+        total += (-1.0) ** sum(corner) * values[at]
+    return total, inner
+
+
+def mixed_rows():
+    from chargelab import Charge, GridSpec, ProblemSetting, recover_derivative
+    from chargelab.families import make_density
+
+    delta = 0.05
+    rows = []
+    for d, m, n, repeats in MIXED_CASES:
+        s = ProblemSetting.mixed(d, m)
+        grid = GridSpec.for_cone(d, m, 2.0, n)
+        nu = Charge(make_density("sin", grid), s.C)
+        res = recover_derivative(nu, delta, s)
+        ks = [round(res.h / sp) for sp in grid.spacing]
+        total, inner = stencil_sum(nu.density.values, m, ks)
+        want = np.zeros(grid.shape, dtype=bool)
+        want[inner] = True
+        scale = 1.0 / (2 ** (d - m) * res.h**d)
+        tol = 1e-12 * float(np.abs(nu.density.values).sum()) * scale
+        if not (np.array_equal(res.valid, want)
+                and np.all(np.isnan(res.estimate[~want]))
+                and np.max(np.abs(res.estimate[inner] - scale * total)) <= tol):
+            raise SystemExit(f"mixed recovery d={d} m={m} n={n}: the estimate "
+                             "or its mask differs from the stencil sum")
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            recover_derivative(nu, delta, s)
+            times.append(time.perf_counter() - t0)
+        q1, med, q3 = _quartiles(times)
+        rows.append({"case": f"recover_derivative mixed d={d} m={m} n={n}",
+                     "cells": n**d, "h": res.h, "repeats": repeats,
+                     "best_ms": 1e3 * min(times), "q1_ms": 1e3 * q1,
+                     "median_ms": 1e3 * med, "q3_ms": 1e3 * q3})
+    return rows
+
+
 def criterion01_seconds():
     """Wall time of acceptance criterion 01's layer-cake calls."""
     from chargelab import Cone, ConvexBody, layer_cake_integral
@@ -388,7 +449,8 @@ def main(argv=None) -> int:
     general = general_rows()
     single = single_window_rows()
     deviation = deviation_rows(args.src)
-    for row in rows + general + single + deviation:
+    mixed = mixed_rows()
+    for row in rows + general + single + deviation + mixed:
         print(json.dumps(row))
     if not args.label:
         return 0
@@ -404,6 +466,7 @@ def main(argv=None) -> int:
     bench.setdefault("single_window", {})[args.label] = {"rows": single}
     dev = bench.setdefault("deviation", {})
     dev[args.label] = {"rows": deviation}
+    bench.setdefault("mixed_recovery", {})[args.label] = {"rows": mixed}
     bench.setdefault("criterion01_s", {})[args.label] = crit
     if args.lkbench:
         lk = bench.setdefault("lkbench", {})

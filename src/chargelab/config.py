@@ -63,6 +63,28 @@ SCHEMAS = {
 }
 
 
+def _each_positive(v, cfg) -> bool:
+    """A positive number, or a list of positive numbers."""
+    return all(isinstance(x, (int, float)) and x > 0
+               for x in (v if isinstance(v, list) else [v]))
+
+
+# key -> (test of a set value against the merged config, what it must be);
+# (command, key) entries take precedence over key entries
+_RANGES = {
+    "d": (lambda v, cfg: v >= 1, "at least 1"),
+    "m": (lambda v, cfg: 0 <= v <= cfg["d"], "in [0, d]"),
+    ("sharpness-search", "m"): (lambda v, cfg: 1 <= v <= cfg["d"], "in [1, d]"),
+    "grid": (lambda v, cfg: v >= 2, "at least 2"),
+    "tol": (lambda v, cfg: v >= 0, "nonnegative"),
+    "budget": (lambda v, cfg: v >= 0, "nonnegative"),
+    "n_points": (lambda v, cfg: v >= 1, "at least 1"),
+    **{key: (_each_positive, "positive")
+       for key in ("h", "h_attained", "deltas", "n_min", "n_max",
+                   "delta_min", "delta_max")},
+}
+
+
 def load_config(path) -> dict:
     text = Path(path).read_text()
     try:
@@ -77,7 +99,8 @@ def load_config(path) -> dict:
 
 
 def validate(command: str, cfg: dict) -> dict:
-    """Apply defaults and reject unknown keys; returns the merged config."""
+    """Apply defaults and reject unknown keys, values of the wrong type and
+    values out of range (_RANGES); returns the merged config."""
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
     schema = SCHEMAS[command]
@@ -99,6 +122,11 @@ def validate(command: str, cfg: dict) -> dict:
             out[key] = val
         else:
             out[key] = default
+    for key in schema:
+        check = _RANGES.get((command, key)) or _RANGES.get(key)
+        if check and out[key] is not None and not check[0](out[key], out):
+            raise ConfigError(f"config key {key!r} must be {check[1]}, "
+                              f"got {out[key]!r}")
     return out
 
 

@@ -5,9 +5,10 @@ either as a polytope (vertices + facets) or as a p-ball.  It carries the
 Minkowski gauge |x|_K, the dual (polar) norm |x|_{K°}, and the gradient of
 the gauge.  Cones are either orthant products R^m_+ x R^(d-m) or finite
 halfspace intersections.  The volume of K∩C is exact (a closed form for
-p-ball orthants, qhull for polytopes and the box) except for a p-ball with
-a halfspaces cone, where a lattice count stands in; the integral of the
-gauge over hK∩C is a cell-center lattice quadrature.
+p-ball orthants, qhull for polytopes, the box and the 1-ball) except for a
+p-ball with 1 < p < inf and a halfspaces cone, where a lattice count stands
+in; the integral of the gauge over hK∩C is a cell-center lattice
+quadrature.
 """
 
 from __future__ import annotations
@@ -433,10 +434,11 @@ def volume_body_cone(K: ConvexBody, C: Cone) -> VolumeEstimate:
 
     A p-ball with an orthant cone has the closed form
     (2 Gamma(1 + 1/p))^d / Gamma(1 + d/p) / 2^m (2^(d-m) for the box); at
-    d = 1 the body is an interval cut by the cone; a polytope, or the box,
-    with any other cone is the qhull volume of the intersection of their
-    halfspaces.  Only a p-ball (p < inf) with a halfspaces cone falls back to
-    counting the cell centers of a 256^d lattice over the bounding box of K.
+    d = 1 the body is an interval cut by the cone; a polytope, the box or
+    the 1-ball with any other cone is the qhull volume of the intersection
+    of their halfspaces.  Only a p-ball (1 < p < inf) with a halfspaces cone
+    falls back to counting the cell centers of a 256^d lattice over the
+    bounding box of K.
     A pair whose intersection has an empty interior raises GeometryError.
     """
     if K.d != C.d:
@@ -451,7 +453,7 @@ def volume_body_cone(K: ConvexBody, C: Cone) -> VolumeEstimate:
         lo = 0.0 if np.any(normals > 0) else -r
         hi = 0.0 if np.any(normals < 0) else r
         return VolumeEstimate(_nonempty(hi - lo), "interval")
-    if K.kind == "polytope" or K.is_box:
+    if K.kind == "polytope" or K.is_box or K.p == 1:
         return VolumeEstimate(_qhull_volume(K, normals), "qhull")
     count = 0
     for _, mask, cellvol in _mask_chunks(K, C, 1.0, 256):
@@ -469,14 +471,20 @@ def _nonempty(vol: float) -> float:
 
 
 def _qhull_volume(K: ConvexBody, cone_normals: np.ndarray) -> float:
-    """Volume of the polytope K (or the box) cut by the halfspaces
-    (x, a) > 0, through qhull at the Chebyshev center of the intersection."""
+    """Volume of the polytope K (or the box, or the 1-ball) cut by the
+    halfspaces (x, a) > 0, through qhull at the Chebyshev center of the
+    intersection."""
     from scipy.spatial import ConvexHull, HalfspaceIntersection
 
     d = K.d
     if K.is_box:
         facet_normals = np.vstack([np.eye(d), -np.eye(d)])
         offsets = np.ones(2 * d)
+    elif K.kind == "pball":
+        # the 1-ball: the 2^d facets (s, x) < 1, s in {-1, 1}^d
+        bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+        facet_normals = 1.0 - 2.0 * bits
+        offsets = np.ones(2**d)
     else:
         facet_normals, offsets = K.facet_normals, K.facet_offsets
     # K∩C = {x : A x <= b}; the cone rows (x, a) >= 0 have b = 0

@@ -10,7 +10,7 @@ sharpness checks are not polluted by discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -91,16 +91,6 @@ class GridSpec:
         hi = np.full(d, r)
         return cls(lo, hi, (n,) * d)
 
-    def trim(self, lo_cells: Sequence[int], hi_cells: Sequence[int]) -> "GridSpec":
-        """Drop cells from each end of every axis (for difference stencils)."""
-        sp = self.spacing
-        lo = self.lo + np.asarray(lo_cells) * sp
-        hi = self.hi - np.asarray(hi_cells) * sp
-        shape = tuple(
-            n - a - b for n, a, b in zip(self.shape, lo_cells, hi_cells)
-        )
-        return GridSpec(lo, hi, shape)
-
     def key(self) -> str:
         return "x".join(str(n) for n in self.shape)
 
@@ -118,8 +108,7 @@ class GridField:
     Invariant: when value_fn is given, `values` holds its samples at the
     cell centers (`from_callback` builds them so), which lets `sup_abs`
     read the value sup from `values`; `check_callback_consistency` measures
-    how far a field departs from it (fields of shifted differences agree
-    only to rounding).
+    how far a field departs from it.
     """
 
     grid: GridSpec

@@ -158,30 +158,11 @@ def recover_derivative(nu_noisy: Charge, delta: float,
         p = SteklovParams(K=setting.K, C=setting.C, h=h, mu=setting.mu)
         est, valid = steklov_field(nu_noisy, p)
         return RecoveryResult(est, valid, bound, h, p)
-    # mixed setting: snap h to a step commensurate with every axis (the
-    # coarsest spacing; finer axes must divide it)
-    grid = nu_noisy.density.grid
-    sp = float(np.max(grid.spacing))
-    for s in grid.spacing:
-        r = sp / float(s)
-        if abs(r - round(r)) > 1e-9:
-            raise GeometryError(
-                "mixed recovery needs pairwise commensurate grid spacings"
-            )
-    k = max(1, round(h / sp))
-    h_snap = k * sp
-    p = MixedParams(d=setting.d, m=setting.m, h=h_snap)
-    out = mixed_operator_field(nu_noisy.density, p)
-    est = np.full(grid.shape, np.nan)
-    valid = np.zeros(grid.shape, dtype=bool)
-    # place the trimmed field back into the full grid
-    sl = []
-    for axis in range(grid.d):
-        lo_cells = round((out.grid.lo[axis] - grid.lo[axis]) / grid.spacing[axis])
-        sl.append(slice(lo_cells, lo_cells + out.grid.shape[axis]))
-    est[tuple(sl)] = out.values
-    valid[tuple(sl)] = True
-    return RecoveryResult(est, valid, bound, h_snap, p)
+    # mixed setting: snap h to whole cells of the coarsest axis
+    sp = float(np.max(nu_noisy.density.grid.spacing))
+    p = MixedParams(d=setting.d, m=setting.m, h=max(1, round(h / sp)) * sp)
+    est, valid = mixed_operator_field(nu_noisy.density, p)
+    return RecoveryResult(est, valid, bound, p.h, p)
 
 
 def recovery_error(truth: GridField, nu_noisy: Charge,

@@ -6,9 +6,10 @@ Window values, the mask of centers whose window fits the grid and the
 choice of engine all come from charges.Charge.  The deviation sup
 integrates the density exactly over each window (fractional windows, box
 bodies with orthant cones only).  For the mixed-derivative setting (box
-body, orthant cone) the same operator is realized on functions as a
-composition of forward and central difference operators scaled by
-1/(2^(d-m) h^d), with norm 2^m/h^d.
+body, orthant cone) the same operator acts on functions as a composed
+difference (forward on the first m axes, central on the others) scaled by
+1/(2^(d-m) h^d), with norm 2^m/h^d: pointwise through the value callback,
+or on the grid as slice differences of the sampled values.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "steklov_field",
     "steklov_norm",
     "deviation_sup",
-    "diff_forward",
-    "diff_central",
     "mixed_operator_apply",
     "mixed_operator_field",
     "mixed_operator_norm",
@@ -123,7 +122,7 @@ def deviation_sup(nu: Charge, p: SteklovParams) -> DeviationResult:
     return DeviationResult(best, arg, float(mask.mean()))
 
 
-# -- difference operators --------------------------------------------------
+# -- mixed-derivative operator --------------------------------------------
 
 
 def _steps_for(grid: GridSpec, axis: int, h: float) -> int:
@@ -136,59 +135,6 @@ def _steps_for(grid: GridSpec, axis: int, h: float) -> int:
             f"{sp:g}; admissible steps: {admissible}, ..."
         )
     return int(round(k))
-
-
-def _diff_field(f: GridField, axis: int, h: float, centered: bool) -> GridField:
-    k = _steps_for(f.grid, axis, h)
-    n = f.grid.shape[axis]
-    lo_cells = [0] * f.grid.d
-    hi_cells = [0] * f.grid.d
-    sl_plus = [slice(None)] * f.grid.d
-    sl_minus = [slice(None)] * f.grid.d
-    if centered:
-        lo_cells[axis] = k
-        hi_cells[axis] = k
-        sl_plus[axis] = slice(2 * k, n)
-        sl_minus[axis] = slice(0, n - 2 * k)
-    else:
-        hi_cells[axis] = k
-        sl_plus[axis] = slice(k, n)
-        sl_minus[axis] = slice(0, n - k)
-    if n - lo_cells[axis] - hi_cells[axis] < 2:
-        raise GeometryError("grid too small for the requested stencil")
-    values = f.values[tuple(sl_plus)] - f.values[tuple(sl_minus)]
-    grid = f.grid.trim(lo_cells, hi_cells)
-    e = np.zeros(f.grid.d)
-    e[axis] = h
-
-    def diff_fn(fn):
-        if fn is None:
-            return None
-        if centered:
-            return lambda pts, _fn=fn: _fn(pts + e[None, :]) - _fn(pts - e[None, :])
-        return lambda pts, _fn=fn: _fn(pts + e[None, :]) - _fn(pts)
-
-    return GridField(
-        grid=grid,
-        values=values,
-        value_fn=diff_fn(f.value_fn),
-        grad_fn=diff_fn(f.grad_fn),
-        mixed_fn=diff_fn(f.mixed_fn),
-        mixed_grad_fn=diff_fn(f.mixed_grad_fn),
-    )
-
-
-def diff_forward(f: GridField, axis: int, h: float) -> GridField:
-    """Forward difference f(x + h e_axis) - f(x)."""
-    return _diff_field(f, axis, h, centered=False)
-
-
-def diff_central(f: GridField, axis: int, h: float) -> GridField:
-    """Central difference f(x + h e_axis) - f(x - h e_axis)."""
-    return _diff_field(f, axis, h, centered=True)
-
-
-# -- mixed-derivative operator --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -252,14 +198,31 @@ def mixed_operator_apply(f: GridField, p: MixedParams,
     return acc * _mixed_scale(p)
 
 
-def mixed_operator_field(f: GridField, p: MixedParams) -> GridField:
-    """Composed-difference average on the (trimmed) grid."""
-    out = f
-    for i in range(p.d):
-        out = (
-            diff_forward(out, i, p.h) if i < p.m else diff_central(out, i, p.h)
-        )
-    return out.scaled(_mixed_scale(p))
+def mixed_operator_field(f: GridField, p: MixedParams):
+    """Composed-difference average at every grid center, from the stored
+    values: forward differences of k cells on the first m axes, central
+    ones on the others, k the step in cells of each axis.
+
+    Returns (values, valid_mask) over the full grid, like steklov_field;
+    values is NaN off the mask of centers whose stencil fits the grid.
+    """
+    grid = f.grid
+    out = f.values
+    inner = []
+    for axis in range(grid.d):
+        k = _steps_for(grid, axis, p.h)
+        n = grid.shape[axis]
+        below = 0 if axis < p.m else k  # cells the stencil reaches below
+        if n - below - k < 2:
+            raise GeometryError("grid too small for the requested stencil")
+        pre = (slice(None),) * axis
+        out = out[pre + (slice(below + k, n),)] - out[pre + (slice(0, n - below - k),)]
+        inner.append(slice(below, n - k))
+    values = np.full(grid.shape, np.nan)
+    values[tuple(inner)] = _mixed_scale(p) * out
+    valid = np.zeros(grid.shape, dtype=bool)
+    valid[tuple(inner)] = True
+    return values, valid
 
 
 def fubini_residual(f: GridField, p: MixedParams, x) -> float:

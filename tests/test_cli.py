@@ -104,6 +104,16 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--case", "nagy-extremal",
                     "--d", 2, "--h", 1, "--grid", 64, "--out", tmp_path]) == 0
 
+    def test_nagy_extremal_l1_ball_skewed_cone(self, tmp_path):
+        # the diamond's edges pass through lattice centers, so a lattice
+        # count reads mu(K∩C) low; qhull gives it exactly
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("body: {kind: pball, p: 1}\n"
+                       "cone: {kind: halfspaces, "
+                       "normals: [[1, 0.3141], [0.2718, 1]]}\n")
+        assert run(["verify", "--config", cfg, "--case", "nagy-extremal",
+                    "--d", 2, "--h", 1, "--grid", 128, "--out", tmp_path]) == 0
+
     @pytest.mark.parametrize("spec", [
         "body: {kind: pball, q: 1}",
         "cone: {kind: orthant, mm: 1}",
@@ -151,6 +161,22 @@ class TestVerifyCommand:
             assert run(["verify", "--case", "gaussian-charge", "--d", 2,
                         "--h", 0.5, "--grid", 64, "--out", out]) == 0
         assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--h", 0], ["verify", "--h", -1], ["verify", "--d", 0],
+    ["verify", "--grid", 1], ["verify", "--m", 3, "--d", 2],
+    ["verify", "--tol", -1],
+    ["stechkin-curve", "--d", 0],
+    ["stechkin-curve", "--setting", "mixed", "--d", 2, "--m", 3],
+    ["recover", "--deltas", "0"], ["recover", "--grid", 1],
+    ["sharpness-search", "--m", 0], ["sharpness-search", "--h", -1],
+    ["sharpness-search", "--d", 2, "--m", 3],
+    ["sharpness-search", "--budget", -1],
+], ids=lambda argv: " ".join(map(str, argv)))
+def test_out_of_range_value_exit_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", tmp_path]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -216,6 +216,16 @@ class TestVolume:
         assert v.method == "qhull"
         assert v.value == pytest.approx(2.0, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_l1_ball_with_halfspaces_cone(self, d):
+        # the cross-polytope 2^d/d! cut by k coordinate halfspaces
+        for k in range(1, d + 1):
+            v = volume_body_cone(ConvexBody.pball(d, 1.0),
+                                 Cone.halfspaces(np.eye(d)[:k]))
+            assert v.method == "qhull"
+            assert v.value == pytest.approx(2**d / (math.factorial(d) * 2**k),
+                                            rel=1e-12, abs=0)
+
     def test_interval_at_d1(self):
         K = ConvexBody.polytope(1, vertices=[[0.7], [-0.7]])
         for C, want in [(Cone.orthant(1, 0), 1.4), (Cone.orthant(1, 1), 0.7),
@@ -234,8 +244,9 @@ class TestVolume:
         (ConvexBody.box(1), [[1], [-1]]),
         (ConvexBody.box(2), [[1, 0], [-1, 0]]),
         (ConvexBody.pball(2, 2.0), [[1, 0], [-1, 0]]),
+        (ConvexBody.pball(2, 1.0), [[1, 0], [-1, 0]]),
         (ConvexBody.polytope(2, vertices=HEX_VERTS), [[1, 0], [-1, 0]]),
-    ], ids=["interval", "box", "disc", "hexagon"])
+    ], ids=["interval", "box", "disc", "diamond", "hexagon"])
     def test_empty_interior_rejected(self, K, normals):
         with pytest.raises(GeometryError, match="empty interior"):
             volume_body_cone(K, Cone.halfspaces(normals))

@@ -183,3 +183,17 @@ class TestRecovery:
         gsup = f.sup_abs("mixed_grad", transform=s.K.polar_norm_many,
                          cone=s.C).value
         assert err <= s.d * res.h / (s.d + 1) * gsup + 1e-6
+
+    def test_mixed_recovery_step_must_fit_every_axis(self):
+        from chargelab.families import make_density
+
+        # spacings 0.2 and 0.3: the step snaps to whole cells of the
+        # coarser axis, and fits the finer one only at an even count
+        s = ProblemSetting.mixed(2, 1)
+        grid = GridSpec([0.0, -4.8], [4.0, 4.8], (20, 32))
+        nu = Charge(make_density("sin", grid), s.C)
+        with pytest.raises(GeometryError, match="admissible"):
+            recover_derivative(nu, 0.9**3 / 6, s)  # h = 0.9: 4.5 cells
+        res = recover_derivative(nu, 0.6**3 / 6, s)  # h = 0.6: 3 and 2 cells
+        assert res.h == pytest.approx(0.6)
+        assert res.valid.any() and np.all(np.isfinite(res.estimate[res.valid]))

@@ -20,8 +20,6 @@ from chargelab.steklov import (
     MixedParams,
     SteklovParams,
     deviation_sup,
-    diff_central,
-    diff_forward,
     fubini_residual,
     mixed_operator_apply,
     mixed_operator_field,
@@ -213,36 +211,74 @@ class TestFractionalWindows:
             assert deviation_sup(nu, p).value == pytest.approx(best, rel=1e-12)
 
 
+def stencil_reference(values, m, k, scale):
+    """The composed difference at every center by its 2^d corners: sign *
+    values at center + offset, summed, times scale; valid where every
+    corner lies inside the grid.  Offsets are (k, +) and (0, -) on the
+    first m axes, (k, +) and (-k, -) on the others."""
+    d = values.ndim
+    ref = np.zeros(values.shape)
+    valid = np.ones(values.shape, dtype=bool)
+    for corner in np.ndindex(*(2,) * d):
+        offs = [(k if c == 0 else (0 if i < m else -k)) for i, c in enumerate(corner)]
+        sign = (-1.0) ** sum(corner)
+        for center in np.ndindex(*values.shape):
+            at = tuple(c + o for c, o in zip(center, offs))
+            if all(0 <= a < n for a, n in zip(at, values.shape)):
+                ref[center] += sign * values[at]
+            else:
+                valid[center] = False
+    return ref * scale, valid
+
+
 class TestDifferenceOperators:
     def test_forward_difference_of_quadratic(self):
         grid = GridSpec.for_cone(1, 0, 2.0, 64)
         comp = poly_component([0.0, 0.0, 1.0])  # t^2
         f = separable_field(grid, [comp])
         h = 4.0 / 64 * 8  # 8 cells
-        g = diff_forward(f, 0, h)
-        x = g.grid.axis_centers(0)
-        np.testing.assert_allclose(g.values, (x + h) ** 2 - x**2, atol=1e-12)
+        out, valid = mixed_operator_field(f, MixedParams(d=1, m=1, h=h))
+        x = grid.axis_centers(0)[valid]
+        np.testing.assert_allclose(out[valid] * h, (x + h) ** 2 - x**2, atol=1e-12)
 
     def test_central_difference_of_quadratic(self):
         grid = GridSpec.for_cone(1, 0, 2.0, 64)
         f = separable_field(grid, [poly_component([0.0, 0.0, 1.0])])
         h = 4.0 / 64 * 8
-        g = diff_central(f, 0, h)
-        x = g.grid.axis_centers(0)
-        np.testing.assert_allclose(g.values, 4 * h * x, atol=1e-12)
+        out, valid = mixed_operator_field(f, MixedParams(d=1, m=0, h=h))
+        x = grid.axis_centers(0)[valid]
+        np.testing.assert_allclose(out[valid] * 2 * h, 4 * h * x, atol=1e-12)
 
     def test_incommensurate_step_rejected(self):
         grid = GridSpec.for_cone(1, 0, 2.0, 64)
         f = separable_field(grid, [poly_component([0.0, 1.0])])
         with pytest.raises(GeometryError, match="admissible"):
-            diff_forward(f, 0, 0.1234567)
+            mixed_operator_field(f, MixedParams(d=1, m=1, h=0.1234567))
 
-    def test_callbacks_follow_the_difference(self):
-        grid = GridSpec.for_cone(2, 1, 2.0, 32)
-        f = make_density("sin", grid)
-        h = float(grid.spacing[0]) * 4
-        g = diff_forward(f, 0, h)
-        assert g.check_callback_consistency() <= 1e-12
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_field_matches_stencil_reference(self, d):
+        rng = np.random.default_rng(d)
+        # equal spacings 0.1, a different cell count on each axis
+        shape = tuple({1: 20, 2: 12, 3: 8}[d] + i for i in range(d))
+        grid = GridSpec(np.zeros(d), 0.1 * np.array(shape), shape)
+        f = GridField(grid=grid, values=rng.standard_normal(shape))
+        atol = 1e-12 * float(np.abs(f.values).sum())
+        for m in range(d + 1):
+            for k in (1, 2, 3):
+                p = MixedParams(d=d, m=m, h=k * float(grid.spacing[0]))
+                out, valid = mixed_operator_field(f, p)
+                ref, want = stencil_reference(f.values, m, k,
+                                              1.0 / (2 ** (d - m) * p.h**d))
+                np.testing.assert_array_equal(valid, want)
+                assert np.all(np.isnan(out[~valid]))
+                np.testing.assert_allclose(out[valid], ref[valid], rtol=0,
+                                           atol=atol)
+
+    def test_grid_too_small_rejected(self):
+        grid = GridSpec.for_cone(1, 0, 1.0, 8)
+        f = separable_field(grid, [poly_component([0.0, 1.0])])
+        with pytest.raises(GeometryError, match="too small"):
+            mixed_operator_field(f, MixedParams(d=1, m=0, h=4 * 0.25))
 
 
 class TestMixedOperator:
@@ -257,12 +293,13 @@ class TestMixedOperator:
         f = make_density("sin", grid)
         h = float(grid.spacing[0]) * 6
         p = MixedParams(d=d, m=m, h=h)
-        out = mixed_operator_field(f, p)
+        out, valid = mixed_operator_field(f, p)
         rng = np.random.default_rng(1)
+        inside = np.argwhere(valid)
         for _ in range(10):
-            idx = tuple(int(rng.integers(s)) for s in out.grid.shape)
-            x = np.array([out.grid.axis_centers(k)[idx[k]] for k in range(d)])
-            assert out.values[idx] == pytest.approx(
+            idx = tuple(inside[int(rng.integers(len(inside)))])
+            x = np.array([grid.axis_centers(k)[idx[k]] for k in range(d)])
+            assert out[idx] == pytest.approx(
                 mixed_operator_apply(f, p, x[None, :])[0], abs=1e-10
             )
 
@@ -273,8 +310,9 @@ class TestMixedOperator:
         grid = GridSpec.for_cone(d, m, 2.0, 32)
         f = separable_field(grid, [poly_component([0.0, 1.0])] * d)
         p = MixedParams(d=d, m=m, h=float(grid.spacing[0]) * 4)
-        out = mixed_operator_field(f, p)
-        np.testing.assert_allclose(out.values, 1.0, atol=1e-10)
+        out, valid = mixed_operator_field(f, p)
+        assert valid.any()
+        np.testing.assert_allclose(out[valid], 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("d,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
                                      (3, 1)])
