@@ -229,10 +229,11 @@ def single_window_rows():
             t0 = time.perf_counter()
             nu.window_value(K, y, h)
             times.append(time.perf_counter() - t0)
+        q1, med, q3 = _quartiles(times)
         rows.append({"case": f"window_value origin {name} d={d} m={m} n={n}",
                      "cells": n**d, "repeats": repeats,
-                     "best_us": 1e6 * min(times),
-                     "median_us": 1e6 * statistics.median(times), "value": value})
+                     "best_us": 1e6 * min(times), "q1_us": 1e6 * q1,
+                     "median_us": 1e6 * med, "q3_us": 1e6 * q3, "value": value})
     return rows
 
 

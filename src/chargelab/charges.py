@@ -196,10 +196,10 @@ class Charge:
         fractional window of fractional_values_all.
 
         A box body with an orthant cone holds the cells of the per-axis
-        index ranges of its ends (windows.index_range).  Every other body
-        and cone widens those ranges by one cell on each side and keeps the
-        centers c with c - y in the open set (h - tie) K∩C, the tolerance
-        of the lattice correlation."""
+        index ranges of its ends (windows.index_ranges_batch).  Every other
+        body and cone widens those ranges by one cell on each side and keeps
+        the centers c with c - y in the open set (h - tie) K∩C, the
+        tolerance of the lattice correlation."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.cone.d,):
             raise GeometryError("translate has wrong dimension")
@@ -217,18 +217,17 @@ class Charge:
             s = self._box_sums([np.array([a]) for a in wlo],
                                [np.array([b]) for b in whi], fractional=True)
             return WindowValue(float(s.reshape(-1)[0]), truncated)
-        ranges = [windows.index_range(lo, sp, n, a, b) for lo, sp, n, a, b
-                  in zip(g.lo, g.spacing, g.shape, wlo, whi)]
+        n = np.array(g.shape)
+        i0s, i1s = windows.index_ranges_batch(g.lo, g.spacing, n, wlo, whi)
         if not box:
-            ranges = [(max(i0 - 1, 0), min(i1 + 1, n))
-                      for (i0, i1), n in zip(ranges, g.shape)]
-        if any(i1 <= i0 for i0, i1 in ranges):
+            i0s, i1s = np.maximum(i0s - 1, 0), np.minimum(i1s + 1, n)
+        if (i1s <= i0s).any():
             return WindowValue(0.0, truncated)
-        cells = self.density.values[tuple(slice(i0, i1) for i0, i1 in ranges)]
+        cells = self.density.values[tuple(map(slice, i0s, i1s))]
         if not box:
             offsets = [g.axis_centers(k)[i0:i1] - y[k]
-                       for k, (i0, i1) in enumerate(ranges)]
-            tie = windows._TIE * float(np.min(g.spacing))
+                       for k, (i0, i1) in enumerate(zip(i0s, i1s))]
+            tie = self._kernel_lattice(K, h)[1]
             cells = cells * _lattice_indicator(K, self.cone, h - tie, offsets)
         return WindowValue(float(cells.sum()) * g.cell_volume, truncated)
 
@@ -271,16 +270,22 @@ class Charge:
                              in zip(g.lo, g.spacing, g.shape, wlos, whis)))
         return windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
 
-    def _correlation_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
+    def _kernel_lattice(self, K: ConvexBody, h: float):
+        """The lattice correlation's kernel at h: per axis the offsets
+        o * spacing within the bounding box of hK, under n cells (a longer
+        one reaches no cell), and its tie tolerance windows._TIE * min(sp)."""
         g = self.density.grid
         sp = g.spacing
-        # offsets o * spacing within the bounding box of hK; an offset of n
-        # cells or more along an axis reaches no cell from any center
         r = np.minimum(np.floor(h * K.bounding_radii() / sp),
                        np.asarray(g.shape) - 1).astype(int)
-        axes = [np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)]
-        ind = _lattice_indicator(K, self.cone, h - windows._TIE * float(np.min(sp)), axes)
-        return windows.lattice_window_sums(self.density.values, ind) * g.cell_volume
+        return ([np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)],
+                windows._TIE * float(np.min(sp)))
+
+    def _correlation_values_all(self, K: ConvexBody, h: float) -> np.ndarray:
+        axes, tie = self._kernel_lattice(K, h)
+        ind = _lattice_indicator(K, self.cone, h - tie, axes)
+        return (windows.lattice_window_sums(self.density.values, ind)
+                * self.density.grid.cell_volume)
 
     def plateau_edges(self, K: ConvexBody, h_max: float) -> np.ndarray:
         """Sorted h in (0, h_max) past which some window y + hK∩C of
@@ -297,18 +302,14 @@ class Charge:
         in the cone at h = |o|_K + tie min(sp), and the origin's a center c
         in the cone at h = |c|_K + tie min(sp)."""
         g = self.density.grid
-        sp, radii = g.spacing, K.bounding_radii()
-        tie = windows._TIE
         if self._fast_path(K):
+            sp, radii, tie = g.spacing, K.bounding_radii(), windows._TIE
             edges = np.concatenate(
                 [part for k in range(g.d) for part in (
                     (np.arange(g.shape[k]) + tie) * sp[k] / radii[k],
                     (np.abs(g.axis_centers(k)) + tie * sp[k]) / radii[k])])
         else:
-            tie *= float(np.min(sp))
-            r = np.minimum(np.floor(h_max * radii / sp),
-                           np.asarray(g.shape) - 1).astype(int)
-            offsets = [np.arange(-rk, rk + 1) * s for rk, s in zip(r, sp)]
+            offsets, tie = self._kernel_lattice(K, h_max)
             centers = [g.axis_centers(k) for k in range(g.d)]
             edges = np.concatenate(
                 [_lattice_gauges(K, self.cone, h_max - tie, a) + tie

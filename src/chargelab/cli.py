@@ -26,6 +26,7 @@ from .charges import (
     seminorm_K,
 )
 from .config import (
+    SCHEMAS,
     ConfigError,
     body_from_config,
     cone_from_config,
@@ -360,8 +361,6 @@ def cmd_sharpness_search(cfg: dict, outdir: Path) -> int:
 def _add_common(sp):
     sp.add_argument("--config", type=str, default=None)
     sp.add_argument("--out", type=str, default="out")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,6 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--h", type=float, default=None)
     sp.add_argument("--budget", type=int, default=None)
+    # --seed and --grid only where the command's schema has the key
+    for command, sp in sub.choices.items():
+        for key in ("seed", "grid"):
+            if key in SCHEMAS[command]:
+                sp.add_argument(f"--{key}", type=int, default=None)
     return ap
 
 

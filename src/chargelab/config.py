@@ -29,7 +29,6 @@ SCHEMAS = {
         "h": ((int, float, list), 1.0),
         "grid": (int, 128),
         "tol": (float, 1e-3),
-        "seed": (int, 0),
         "body": (dict, None),
         "cone": (dict, None),
     },
@@ -44,7 +43,6 @@ SCHEMAS = {
         "delta_max": (float, 10.0),
         "h_attained": (list, [0.5, 1.0, 2.0]),
         "grid": (int, None),
-        "seed": (int, 0),
     },
     "recover": {
         "d": (int, 1),
@@ -69,13 +67,33 @@ def _each_positive(v, cfg) -> bool:
                for x in (v if isinstance(v, list) else [v]))
 
 
-# key -> (test of a set value against the merged config, what it must be);
-# (command, key) entries take precedence over key entries
+# the smallest grid on which the density of a verify case, stechkin-curve
+# setting or command keeps an empty boundary cell (the zero case: a center
+# whose window fits), probed at d = 1..3 (recover: d = 1, 2); 2 elsewhere
+_GRID_FLOORS = {"extremal-charge": 5, "corrupted-extremal": 5,
+                "gaussian-charge": 9, "zero": 5, "charge": 5, "recover": 10}
+
+
+def _grid_range(command: str):
+    """The _RANGES entry of the grid key of a command: at least its floor."""
+    def floor(cfg) -> tuple:
+        for key in ("case", "setting"):
+            if key in cfg:
+                return _GRID_FLOORS.get(cfg[key], 2), f"{command} {key} {cfg[key]!r}"
+        return _GRID_FLOORS.get(command, 2), command
+
+    return (lambda v, cfg: v >= floor(cfg)[0],
+            lambda cfg: "at least {} for {}".format(*floor(cfg)))
+
+
+# key -> (test of a set value against the merged config, what it must be:
+# text or a function of that config); (command, key) entries come first
 _RANGES = {
     "d": (lambda v, cfg: v >= 1, "at least 1"),
     "m": (lambda v, cfg: 0 <= v <= cfg["d"], "in [0, d]"),
     ("sharpness-search", "m"): (lambda v, cfg: 1 <= v <= cfg["d"], "in [1, d]"),
-    "grid": (lambda v, cfg: v >= 2, "at least 2"),
+    **{(command, "grid"): _grid_range(command)
+       for command in ("verify", "stechkin-curve", "recover")},
     "tol": (lambda v, cfg: v >= 0, "nonnegative"),
     "budget": (lambda v, cfg: v >= 0, "nonnegative"),
     "n_points": (lambda v, cfg: v >= 1, "at least 1"),
@@ -125,7 +143,8 @@ def validate(command: str, cfg: dict) -> dict:
     for key in schema:
         check = _RANGES.get((command, key)) or _RANGES.get(key)
         if check and out[key] is not None and not check[0](out[key], out):
-            raise ConfigError(f"config key {key!r} must be {check[1]}, "
+            what = check[1](out) if callable(check[1]) else check[1]
+            raise ConfigError(f"config key {key!r} must be {what}, "
                               f"got {out[key]!r}")
     return out
 

@@ -7,8 +7,9 @@ the gauge.  Cones are either orthant products R^m_+ x R^(d-m) or finite
 halfspace intersections.  The volume of K∩C is exact (a closed form for
 p-ball orthants, qhull for polytopes, the box and the 1-ball) except for a
 p-ball with 1 < p < inf and a halfspaces cone, where a lattice count stands
-in; the integral of the gauge over hK∩C is a cell-center lattice
-quadrature.
+in.  That count, the cell-center quadrature of the gauge over hK∩C and the
+lattice indicators of windows all read one gauge-and-cone pass over blocks
+of whole first-axis rows of a lattice (_cone_gauges).
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ __all__ = [
     "layer_cake_integral",
     "layer_cake_closed_form",
 ]
-
-_SYM_TOL = 1e-12
-
 
 class GeometryError(ValueError):
     """Invalid body/cone input or unsupported method request."""
@@ -157,10 +155,6 @@ class ConvexBody:
         return np.max(np.abs(self.vertices), axis=0)
 
     # -- gauge / polar -----------------------------------------------------
-
-    def gauge(self, x) -> float:
-        x = _as_vector(x, self.d)
-        return float(self.gauge_many(x[None, :])[0])
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         """Gauge |x|_K for an (N, d) array of points."""
@@ -337,10 +331,7 @@ class Cone:
         return cls(d=A.shape[1], kind="halfspaces", m=0, normals=A)
 
     def member_closure(self, x) -> bool:
-        x = _as_vector(x, self.d)
-        if self.kind == "orthant":
-            return bool(np.all(x[: self.m] >= 0))
-        return bool(np.all(self.normals @ x >= 0))
+        return bool(self.member_closure_many(_as_vector(x, self.d)[None, :])[0])
 
     def member_many(self, X: np.ndarray) -> np.ndarray:
         return self._all_columns(X, np.greater)
@@ -366,66 +357,56 @@ class VolumeEstimate:
     method: str  # "closed-form", "interval", "qhull" or "grid"
 
 
-def _grid_points(K: ConvexBody, n: int):
-    """Cell-center lattice over the bounding box of K, with cell volume."""
-    radii = K.bounding_radii()
-    axes = [(-r + (np.arange(n) + 0.5) * (2 * r / n)) for r in radii]
-    cellvol = float(np.prod(2 * radii / n))
-    return axes, cellvol
+# points per block of a lattice walk: whole entries of the first axis up to
+# this many points, or one entry when a single entry holds more
+_BLOCK = 4096
 
 
 def _lattice_slabs(axes):
-    """Yield the points of the cartesian product of the coordinate arrays in
-    `axes` in C order, one (N, d) slab per entry of axes[0], N the product of
-    the other lengths (one slab of every point when d = 1).  All slabs share
-    one array, overwritten before each yield, so a consumer copies what it
-    keeps.  The array is column-major, so that each coordinate column is
-    contiguous for the column-wise gauges and cone tests."""
-    d = len(axes)
-    if d == 1:
-        yield np.asarray(axes[0], dtype=float)[:, None]
-        return
-    rest = np.meshgrid(*axes[1:], indexing="ij")
-    slab = np.empty((d, rest[0].size)).T
-    for k, r in enumerate(rest, start=1):
-        slab[:, k] = r.ravel()
-    for x0 in axes[0]:
-        slab[:, 0] = x0
-        yield slab
+    """Yield (rows, pts) blocks of the cartesian product of the coordinate
+    arrays in `axes`, in C order: the slice of entries of axes[0] that fit in
+    _BLOCK points (at least one) and the (N, d) array of their points.  All
+    blocks share one column-major array (a contiguous column per coordinate),
+    overwritten before each yield, so a consumer copies what it keeps."""
+    d, n0 = len(axes), len(axes[0])
+    size = math.prod(len(a) for a in axes[1:])
+    step = min(max(_BLOCK // size, 1), n0)
+    block = np.empty((d, step * size)).T
+    # the other coordinates repeat along every entry of axes[0]
+    for k, r in enumerate(np.meshgrid(*axes[1:], indexing="ij"), start=1):
+        block[:, k].reshape(step, size)[:] = r.ravel()
+    for start in range(0, n0, step):
+        rows = slice(start, min(start + step, n0))
+        pts = block[: (rows.stop - start) * size]
+        pts[:, 0].reshape(-1, size)[:] = axes[0][rows, None]
+        yield rows, pts
 
 
-def _mask_chunks(K: ConvexBody, C: Cone, h: float, n: int):
-    """Yield (gauges, inside-mask, cell volume) slabs over the n^d cell-center
-    lattice of the bounding box of hK."""
-    axes, cellvol = _grid_points(K, n)
-    axes = [h * a for a in axes]
-    cellvol *= h**K.d
-    for pts in _lattice_slabs(axes):
-        g = K.gauge_many(pts)
-        yield g, (g < h) & C.member_many(pts), cellvol
+def _cone_gauges(K: ConvexBody, C: Cone, axes):
+    """Yield (rows, |x|_K, x in the open cone C) for the points x of each
+    block of the lattice walk over `axes` (_lattice_slabs): the one
+    evaluation of K and C on a lattice."""
+    if K.d != C.d or len(axes) != K.d:
+        raise GeometryError("body, cone and lattice dimensions differ")
+    for rows, pts in _lattice_slabs(axes):
+        yield rows, K.gauge_many(pts), C.member_many(pts)
 
 
 def _lattice_indicator(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
     """0/1 indicator of the open set hK∩C at the cartesian product of the
     coordinate arrays in `axes`, shape tuple(len(a) for a in axes)."""
-    if K.d != C.d or len(axes) != K.d:
-        raise GeometryError("body, cone and lattice dimensions differ")
     out = np.empty(tuple(len(a) for a in axes))
-    # one row per slab: a single slab holds every point when d = 1
-    rows = out.reshape(len(axes[0]), -1) if K.d > 1 else out[None, :]
-    for row, pts in zip(rows, _lattice_slabs(axes)):
-        row[:] = (K.gauge_many(pts) < h) & C.member_many(pts)
+    by_row = out.reshape(len(axes[0]), -1)
+    for rows, g, cone in _cone_gauges(K, C, axes):
+        by_row[rows] = ((g < h) & cone).reshape(-1, by_row.shape[1])
     return out
 
 
 def _lattice_gauges(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
     """Sorted distinct gauges below h of the points of the open cone C in
     the cartesian product of the coordinate arrays in `axes`."""
-    parts = []
-    for pts in _lattice_slabs(axes):
-        g = K.gauge_many(pts)
-        parts.append(np.unique(g[(g < h) & C.member_many(pts)]))
-    return np.unique(np.concatenate(parts))
+    return np.unique(np.concatenate([np.unique(g[(g < h) & cone])
+                                     for _, g, cone in _cone_gauges(K, C, axes)]))
 
 
 def volume_body_cone(K: ConvexBody, C: Cone) -> VolumeEstimate:
@@ -455,10 +436,11 @@ def volume_body_cone(K: ConvexBody, C: Cone) -> VolumeEstimate:
         return VolumeEstimate(_nonempty(hi - lo), "interval")
     if K.kind == "polytope" or K.is_box or K.p == 1:
         return VolumeEstimate(_qhull_volume(K, normals), "qhull")
-    count = 0
-    for _, mask, cellvol in _mask_chunks(K, C, 1.0, 256):
-        count += int(np.count_nonzero(mask))
-    return VolumeEstimate(_nonempty(count * cellvol), "grid")
+    radii, n = K.bounding_radii(), 256
+    count = sum(int(np.count_nonzero((g < 1.0) & cone)) for _, g, cone
+                in _cone_gauges(K, C, [-r + (np.arange(n) + 0.5) * (2 * r / n)
+                                       for r in radii]))
+    return VolumeEstimate(_nonempty(count * float(np.prod(2 * radii / n))), "grid")
 
 
 _EMPTY = "degenerate body/cone pair: K∩C has empty interior"
@@ -537,9 +519,8 @@ def layer_cake_integral(K: ConvexBody, C: Cone, h: float, *,
         raise GeometryError("h must be nonnegative")
     if h == 0:
         return 0.0
-    if K.d != C.d:
-        raise GeometryError("body and cone dimensions differ")
-    total = 0.0
-    for g, mask, cellvol in _mask_chunks(K, C, h, n):
-        total += float(np.sum(g, where=mask)) * cellvol
-    return total
+    radii = K.bounding_radii()
+    axes = [h * (-r + (np.arange(n) + 0.5) * (2 * r / n)) for r in radii]
+    cellvol = float(np.prod(2 * radii / n)) * h**K.d
+    return sum(float(np.sum(g, where=(g < h) & cone)) * cellvol
+               for _, g, cone in _cone_gauges(K, C, axes))

@@ -20,8 +20,9 @@ __all__ = ["GridSpec", "GridField", "SupResult"]
 
 PointFn = Callable[[np.ndarray], np.ndarray]
 """A callback: an (N, d) array of points to N values ((N, d) for a vector
-callback).  The sweeps pass slabs of one array that they overwrite for the
-next chunk, possibly column-major: a callback reads its points during the
+callback).  The sweeps pass blocks of whole first-axis rows, up to 4,096
+points unless one row holds more, all views of one column-major array that
+they overwrite for the next block: a callback reads its points during the
 call and keeps neither the array nor a view of it."""
 
 
@@ -45,18 +46,14 @@ class GridSpec:
             raise GeometryError("grid bounds must satisfy hi > lo")
         if any(n < 2 for n in self.shape):
             raise GeometryError("need at least 2 cells per axis")
+        # computed once: a single window reads both on every call
+        spacing = (hi - lo) / np.asarray(self.shape, dtype=float)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "cell_volume", float(np.prod(spacing)))
 
     @property
     def d(self) -> int:
         return len(self.shape)
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return (self.hi - self.lo) / np.asarray(self.shape, dtype=float)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
 
     @property
     def size(self) -> int:
@@ -68,18 +65,17 @@ class GridSpec:
 
     def iter_center_chunks(self):
         """Yield (flat_slice, points) chunks covering every center once, in
-        flat (C) order.  points is an (N, d) array that every chunk reuses
-        (see `PointFn`)."""
-        block = self.size // self.shape[0]
+        flat (C) order: the blocks of whole first-axis rows of the lattice
+        walk (geometry._lattice_slabs).  points is an (N, d) array that every
+        chunk reuses (see `PointFn`)."""
+        row = self.size // self.shape[0]
         axes = [self.axis_centers(i) for i in range(self.d)]
-        for j, pts in enumerate(_lattice_slabs(axes)):
-            yield slice(j * block, j * block + len(pts)), pts
+        for rows, pts in _lattice_slabs(axes):
+            yield slice(rows.start * row, rows.stop * row), pts
 
     def flat_to_point(self, flat_index: int) -> np.ndarray:
         idx = np.unravel_index(flat_index, self.shape)
-        return np.array(
-            [self.lo[i] + (idx[i] + 0.5) * self.spacing[i] for i in range(self.d)]
-        )
+        return self.lo + (np.array(idx) + 0.5) * self.spacing
 
     @classmethod
     def for_cone(cls, d: int, m: int, radius: float, n: int,

@@ -42,39 +42,29 @@ def build_prefix(values: np.ndarray) -> np.ndarray:
 
 
 def index_range(lo: float, delta: float, n: int, a: float, b: float):
-    """Half-open cell index range [i0, i1) of centers strictly inside (a, b).
-
-    Centers are lo + (i + 0.5) * delta.  Boundary ties are broken towards
-    exclusion with a small relative tolerance, so that the result is stable
-    when window edges land exactly on cell centers.
-    """
-    if b <= a:
-        return 0, 0
-    t0 = (a - lo) / delta - 0.5
-    t1 = (b - lo) / delta - 0.5
-    i0 = int(np.floor(t0 + _TIE)) + 1
-    i1 = int(np.ceil(t1 - _TIE))
-    i0 = min(max(i0, 0), n)
-    i1 = min(max(i1, 0), n)
-    if i1 < i0:
-        i1 = i0
-    return i0, i1
+    """Half-open cell index range [i0, i1) of centers strictly inside (a, b):
+    index_ranges_batch for one window."""
+    i0, i1 = index_ranges_batch(lo, delta, n, [a], [b])
+    return int(i0[0]), int(i1[0])
 
 
 def index_ranges_batch(lo: float, delta: float, n: int,
                        a: np.ndarray, b: np.ndarray):
-    """Vectorized index_range for arrays of window bounds."""
+    """Half-open cell index ranges [i0, i1) of the centers lo + (i + 0.5) *
+    delta strictly inside the windows (a, b), i1 = i0 where b <= a; lo,
+    delta and n may be arrays that broadcast with a and b.  Ties break
+    towards exclusion by a small relative tolerance, so that a window edge
+    landing exactly on a center gives a stable result."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     t0 = (a - lo) / delta - 0.5
     t1 = (b - lo) / delta - 0.5
     i0 = np.floor(t0 + _TIE).astype(np.int64) + 1
     i1 = np.ceil(t1 - _TIE).astype(np.int64)
-    np.clip(i0, 0, n, out=i0)
-    np.clip(i1, 0, n, out=i1)
-    np.maximum(i1, i0, out=i1)
-    empty = b <= a
-    i1[empty] = i0[empty]
+    # i0 into [0, n] and i1 into [i0, n] (np.clip costs more on a short
+    # batch); b <= a gives t1 <= t0, so i1 <= i0 before and i1 = i0 after
+    np.minimum(np.maximum(i0, 0, out=i0), n, out=i0)
+    np.minimum(np.maximum(i1, i0, out=i1), n, out=i1)
     return i0, i1
 
 

@@ -179,6 +179,32 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, argv):
     assert "config error" in capsys.readouterr().err
 
 
+# (argv, the smallest grid it takes): one grid below exits 2 before any
+# computation, and the floor itself runs to a report
+@pytest.mark.parametrize("argv, floor", [
+    *((["verify", "--case", case, "--d", d], floor)
+      for case, floor in (("extremal-charge", 5), ("corrupted-extremal", 5),
+                          ("gaussian-charge", 9), ("zero", 5))
+      for d in (1, 2, 3)),
+    *((["stechkin-curve", "--d", d], 5) for d in (1, 2)),
+    *((["recover", "--d", d], 10) for d in (1, 2)),
+], ids=lambda v: " ".join(map(str, v)) if isinstance(v, list) else str(v))
+def test_grid_floor(tmp_path, capsys, argv, floor):
+    assert run(argv + ["--grid", floor - 1, "--out", tmp_path]) == 2
+    assert f"at least {floor}" in capsys.readouterr().err
+    assert run(argv + ["--grid", floor, "--out", tmp_path]) in (0, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", 1], ["stechkin-curve", "--seed", 1],
+    ["sharpness-search", "--grid", 8],
+], ids=lambda argv: " ".join(map(str, argv)))
+def test_option_nothing_reads_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", tmp_path])
+    assert exc.value.code == 2
+
+
 class TestOtherCommands:
     def test_stechkin_curve_outputs(self, tmp_path):
         assert run(["stechkin-curve", "--d", 1, "--out", tmp_path]) == 0

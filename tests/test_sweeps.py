@@ -16,8 +16,9 @@ import pytest
 
 from chargelab.charges import extremal_density
 from chargelab.families import bump, separable_field
+from chargelab import geometry
 from chargelab.geometry import ConvexBody, Cone
-from chargelab.grids import GridSpec
+from chargelab.grids import GridField, GridSpec
 from chargelab.inequalities import box_corner_integral
 
 HEX_VERTS = [
@@ -210,17 +211,37 @@ def flat_sweep(fld, fn, transform=None):
 
 class TestSweeps:
     @pytest.mark.parametrize("d", DIMS)
-    def test_center_chunks_cover_every_center_in_flat_order(self, d):
+    def test_center_chunks_cover_every_center_in_flat_order(self, d, monkeypatch):
         grid = GridSpec(-np.arange(1.0, d + 1), np.full(d, 0.5),
-                        tuple(range(3, 3 + d)))
-        chunks = [(sl, pts.copy()) for sl, pts in grid.iter_center_chunks()]
-        assert chunks[0][0].start == 0 and chunks[-1][0].stop == grid.size
-        for (a, _), (b, _) in zip(chunks, chunks[1:]):
-            assert a.stop == b.start
-        pts = np.concatenate([p for _, p in chunks])
-        assert all(p.shape[0] == sl.stop - sl.start for sl, p in chunks)
+                        (7,) + tuple(range(3, 2 + d)))
+        row = grid.size // grid.shape[0]
         want = np.stack([grid.flat_to_point(i) for i in range(grid.size)])
-        assert np.array_equal(pts, want)
+        # every row in one block; blocks of two rows and a short last one;
+        # rows longer than a block, one row per block
+        for block, rows in ((4096, 7), (2 * row + row // 2, 2), (max(row // 2, 1), 1)):
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            chunks = [(sl, pts.copy()) for sl, pts in grid.iter_center_chunks()]
+            assert [sl.stop - sl.start for sl, _ in chunks] == [
+                min(rows, 7 - i) * row for i in range(0, 7, rows)]
+            assert chunks[0][0].start == 0 and chunks[-1][0].stop == grid.size
+            for (a, _), (b, _) in zip(chunks, chunks[1:]):
+                assert a.stop == b.start
+            pts = np.concatenate([p for _, p in chunks])
+            assert all(p.shape[0] == sl.stop - sl.start for sl, p in chunks)
+            assert np.array_equal(pts, want)
+
+    def test_small_field_is_sampled_in_one_call(self):
+        grid = GridSpec.for_cone(2, 0, 1.0, 24)
+        calls = []
+
+        def counting(pts):
+            calls.append(pts.shape[0])
+            return pts[:, 0] * pts[:, 1]
+
+        fld = GridField.from_callback(grid, counting)
+        assert calls == [24 * 24]
+        centers = [grid.axis_centers(k) for k in range(2)]
+        assert np.array_equal(fld.values, np.multiply.outer(*centers))
 
     @pytest.mark.parametrize("case", ["center", "candidate"])
     def test_value_sup_reads_stored_samples(self, case):

@@ -140,14 +140,20 @@ class TestIndexRange:
             st.one_of(st.floats(-4, 4), st.floats(0, 1e-8))), min_size=1, max_size=16),
     )
     @settings(max_examples=300, deadline=None)
-    def test_batch_matches_scalar(self, lo, delta, n, cells):
+    def test_batch_is_sound(self, lo, delta, n, cells):
+        # the center rule of test_range_is_sound, for every window of a batch
         bounds = [(lo + s * delta, lo + (s + w) * delta) for s, w in cells]
         a, b = (np.array(t) for t in zip(*bounds))
         i0s, i1s = windows.index_ranges_batch(lo, delta, n, a, b)
+        centers = lo + (np.arange(n) + 0.5) * delta
         for i0, i1, (x, y) in zip(i0s.tolist(), i1s.tolist(), bounds):
-            j0, j1 = windows.index_range(lo, delta, n, x, y)
-            # both pick no cell, or the same cells
-            assert (i0, i1) == (j0, j1) or i0 == i1 and j0 == j1
+            assert 0 <= i0 <= i1 <= n
+            inside = (centers > x + 1e-12) & (centers < y - 1e-12)
+            picked = np.zeros(n, dtype=bool)
+            picked[i0:i1] = True
+            assert not np.any(inside & ~picked)
+            outside = (centers < x - 1e-9) | (centers > y + 1e-9)
+            assert not np.any(picked & outside)
 
 
 def test_kernel_name_reported():
