@@ -34,7 +34,7 @@ from .config import (
     validate,
 )
 from .families import make_density, random_separable_field
-from .geometry import Cone, GeometryError
+from .geometry import Cone, ConvexBody, GeometryError
 from .grids import GridField, GridSpec
 from .inequalities import (
     extremal_mixed_m0,
@@ -78,8 +78,12 @@ def _fail(msgs: list, text: str) -> None:
     print(f"FAIL {text}", file=sys.stderr)
 
 
-def _charge_grid(d: int, m: int, h: float, n: int) -> GridSpec:
-    return GridSpec.for_cone(d, m, h, n, margin=0.25 * h)
+def _charge_grid(K: ConvexBody, m: int, h: float, n: int) -> GridSpec:
+    """Cube grid of half-width 1.25 r, r = h * max(1, K's largest bounding
+    radius), so that it covers hK with a margin; clipped to the orthant on
+    the first m axes."""
+    r = h * max(1.0, float(np.max(K.bounding_radii())))
+    return GridSpec.for_cone(K.d, m, r, n, margin=0.25 * r)
 
 
 def _zero_field(grid: GridSpec) -> GridField:
@@ -115,7 +119,7 @@ def _verify_reports(cfg: dict):
     for h in hs:
         h = float(h)
         if case == "extremal-charge":
-            grid = _charge_grid(d, C.m, h, n)
+            grid = _charge_grid(K, C.m, h, n)
             nu = extremal_charge(K, C, h, grid)
             reports.append(lk_additive_charge(nu, K, C, h, tol))
             reports.append(
@@ -129,11 +133,11 @@ def _verify_reports(cfg: dict):
             reports.append(lk_additive_charge(nu, K, C, h, tol))
             reports.append(lk_multiplicative_charge(nu, K, C, tol=tol))
         elif case == "zero":
-            grid = _charge_grid(d, C.m, h, n)
+            grid = _charge_grid(K, C.m, h, n)
             nu = Charge(_zero_field(grid), C)
             reports.append(lk_additive_charge(nu, K, C, h, tol))
         elif case == "corrupted-extremal":
-            grid = _charge_grid(d, C.m, h, n)
+            grid = _charge_grid(K, C.m, h, n)
             honest = extremal_density(K, C, h, grid)
             corrupted = GridField(
                 grid=grid,
@@ -145,7 +149,7 @@ def _verify_reports(cfg: dict):
             nu = Charge(corrupted, C)
             reports.append(lk_additive_charge(nu, K, C, h, tol))
         elif case == "nagy-extremal":
-            grid = _charge_grid(d, C.m, h, n)
+            grid = _charge_grid(K, C.m, h, n)
             fld = extremal_density(K, C, h, grid)
             reports.append(nagy_inequality(fld, K, C, h, tol))
         elif case in ("mixed-m0", "mixed-m1"):
@@ -186,8 +190,6 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
 def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
     d, m = cfg["d"], cfg["m"]
     if cfg["setting"] == "charge":
-        from .geometry import ConvexBody
-
         setting = ProblemSetting.charge(ConvexBody.box(d), Cone.orthant(d, m))
     elif cfg["setting"] == "mixed":
         setting = ProblemSetting.mixed(d, m)
@@ -213,7 +215,7 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
     for h in cfg["h_attained"]:
         h = float(h)
         if setting.kind == "charge":
-            grid = _charge_grid(d, m, h, n)
+            grid = _charge_grid(setting.K, m, h, n)
             nu = extremal_charge(setting.K, setting.C, h, grid)
             p = SteklovParams(K=setting.K, C=setting.C, h=h, mu=setting.mu)
             att_N.append(steklov_norm(p))
@@ -258,8 +260,6 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
 
 def cmd_recover(cfg: dict, outdir: Path) -> int:
     d, m, n = cfg["d"], cfg["m"], cfg["grid"]
-    from .geometry import ConvexBody
-
     K = ConvexBody.box(d)
     C = Cone.orthant(d, m)
     setting = ProblemSetting.charge(K, C)
@@ -273,7 +273,7 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
         om = omega(setting, delta)
         # worst case: extremal truth, perturbed along the extremal direction
         # (the noisy data collapses to the zero charge)
-        grid = _charge_grid(d, m, h, n)
+        grid = _charge_grid(K, m, h, n)
         truth = extremal_density(K, C, h, grid)
         noisy = Charge(_zero_field(grid), C)
         res = recover_derivative(noisy, delta, setting)

@@ -515,6 +515,8 @@ def layer_cake_integral(K: ConvexBody, C: Cone, h: float, *,
                         n: int = 256) -> float:
     """Integral of |u|_K over hK∩C by the cell-center rule on an n^d lattice
     over the bounding box of hK."""
+    if n < 1:
+        raise GeometryError("need n >= 1 lattice cells per axis")
     if h < 0:
         raise GeometryError("h must be nonnegative")
     if h == 0:

@@ -393,31 +393,28 @@ class SharpnessResult:
 def _shifted_sup(h: float, d: int, m: int, shifts: np.ndarray) -> float:
     """Sup of |g_s| where g_s integrates the extremal density from shifted
     lower limits on the first m axes (_shifted_antiderivative); scan of a
-    33-point-per-axis lattice, then coordinate refinement."""
-    axes = [np.linspace(0.0 if i < m else -h, h, 33) for i in range(d)]
+    33-point-per-axis lattice, then 7 zoom rounds: a 9^d lattice of
+    half-width `step` around the incumbent, clipped to the domain, whose max
+    replaces the incumbent only when it beats it; `step` shrinks 4x per
+    round, so each lattice spans one spacing of the last."""
+    lo = np.array([0.0 if i < m else -h for i in range(d)])
+    axes = [np.linspace(lo[i], h, 33) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([t.ravel() for t in mesh], axis=-1)
     vals = np.abs(_shifted_antiderivative(pts, h, shifts))
     j = int(np.argmax(vals))
-    best_x = pts[j].copy()
-    # coordinate-wise golden ascent around the lattice argmax
+    best_x, best_v = pts[j], float(vals[j])
+    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 9)] * d, indexing="ij")
+    offsets = np.stack([t.ravel() for t in mesh], axis=-1)
     step = h / 32
-    for _ in range(2):
-        for i in range(d):
-            lo = best_x[i] - 2 * step
-            hi = best_x[i] + 2 * step
-            if i < m:
-                lo = max(lo, 0.0)
-
-            def neg(t, _i=i):
-                x = best_x.copy()
-                x[_i] = t
-                return -abs(float(
-                    _shifted_antiderivative(x[None, :], h, shifts)[0]))
-
-            t, _ = golden_min(neg, lo, hi, iters=40)
-            best_x[i] = t
-    return abs(float(_shifted_antiderivative(best_x[None, :], h, shifts)[0]))
+    for _ in range(7):
+        pts = np.clip(best_x + step * offsets, lo, h)
+        vals = np.abs(_shifted_antiderivative(pts, h, shifts))
+        j = int(np.argmax(vals))
+        if vals[j] > best_v:
+            best_x, best_v = pts[j], float(vals[j])
+        step /= 4
+    return best_v
 
 
 def sharpness_search(d: int, m: int, h: float = 1.0, budget: int = 40,

@@ -104,6 +104,18 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--case", "nagy-extremal",
                     "--d", 2, "--h", 1, "--grid", 64, "--out", tmp_path]) == 0
 
+    @pytest.mark.parametrize("grid", [64, 128])
+    def test_nagy_extremal_wide_polytope(self, tmp_path, grid):
+        # the body reaches 2h along the first axis: the grid must follow
+        # K's bounding box, not h alone
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("body: {kind: polytope, "
+                       "vertices: [[2, 0], [-2, 0], [0, 1], [0, -1]]}\n")
+        assert run(["verify", "--config", cfg, "--case", "nagy-extremal",
+                    "--d", 2, "--h", 1, "--grid", grid, "--out", tmp_path]) == 0
+        header, row = (tmp_path / "report.csv").read_text().splitlines()[:2]
+        assert row.split(",")[header.split(",").index("coverage")] == "1"
+
     def test_nagy_extremal_l1_ball_skewed_cone(self, tmp_path):
         # the diamond's edges pass through lattice centers, so a lattice
         # count reads mu(K∩C) low; qhull gives it exactly

@@ -278,3 +278,9 @@ class TestLayerCake:
     def test_zero_radius(self):
         K, C = ConvexBody.box(2), Cone.orthant(2, 0)
         assert layer_cake_integral(K, C, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_lattice_rejected(self, n):
+        K, C = ConvexBody.box(2), Cone.orthant(2, 0)
+        with pytest.raises(GeometryError, match="n >= 1"):
+            layer_cake_integral(K, C, 1.0, n=n)

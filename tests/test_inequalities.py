@@ -9,6 +9,8 @@ from chargelab.families import make_density, random_separable_field
 from chargelab.geometry import ConvexBody, Cone
 from chargelab.grids import GridSpec
 from chargelab.inequalities import (
+    _shifted_antiderivative,
+    _shifted_sup,
     box_corner_integral,
     extremal_mixed_m0,
     extremal_mixed_m1,
@@ -233,3 +235,31 @@ class TestSharpnessSearch:
         res = sharpness_search(2, 2, 1.0, budget=6, seed=1)
         assert res.best_ratio <= 1 + 1e-6
         assert len(res.trajectory) > 0
+        # pinned: a change of the inner sup must not move the search
+        assert res.best_ratio == pytest.approx(0.9672637647247302, rel=1e-9)
+
+
+class TestShiftedSup:
+    @pytest.mark.parametrize("h", [0.75, 1.0, 1.25])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_split_point_sup_is_exact(self, d, h):
+        want = h ** (d + 1) / (2 * (d + 1))
+        assert _shifted_sup(h, d, 1, [split_point(h, d)]) == pytest.approx(
+            want, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unshifted_sup(self, d):
+        assert _shifted_sup(1.0, d, 0, []) == pytest.approx(1 / (d + 1),
+                                                            rel=1e-12)
+
+    @pytest.mark.parametrize("d,m,n", [(2, 2, 257), (3, 2, 65)])
+    def test_not_below_a_dense_lattice(self, d, m, n):
+        rng = np.random.default_rng(15)
+        axes = [np.linspace(0.0 if i < m else -1.0, 1.0, n) for i in range(d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        for _ in range(8):
+            h = rng.uniform(0.75, 1.25)
+            shifts = rng.uniform(0.05 * h, 0.95 * h, size=m)
+            pts = h * np.stack([t.ravel() for t in mesh], axis=-1)
+            dense = np.max(np.abs(_shifted_antiderivative(pts, h, shifts)))
+            assert _shifted_sup(h, d, m, shifts) >= dense
