@@ -10,9 +10,9 @@ Run from the repository root:
 Rows:
 
 - `sharpness_search(d, m, 1.0, budget, seed=1)` at (d, m, budget) =
-  (2, 1, 2), (2, 1, 8), (2, 2, 6), (3, 1, 2) and (3, 2, 6), with the best
-  ratio, the best shifts, the trajectory and the number of
-  `_shifted_antiderivative` calls (one per lattice or point evaluation);
+  (2, 1, 2), (2, 1, 8), (2, 2, 6), (3, 1, 2), (3, 2, 6) and (3, 3, 4), with
+  the best ratio, the best shifts, the trajectory and the number of
+  `_shifted_antiderivative` calls per search;
 - one `_shifted_sup` call at d = 2 and at d = 3 (m = 2, fixed shifts), with
   its value;
 - the m = 1 sup at the split point against its closed form
@@ -44,7 +44,8 @@ from bench_windows import ROOT, compare, environment, read_lkbench
 
 BENCH_FILE = ROOT / "BENCH_sharpness.json"
 # (d, m, budget, repeats)
-SEARCHES = [(2, 1, 2, 5), (2, 1, 8, 3), (2, 2, 6, 3), (3, 1, 2, 3), (3, 2, 6, 1)]
+SEARCHES = [(2, 1, 2, 5), (2, 1, 8, 3), (2, 2, 6, 3), (3, 1, 2, 3), (3, 2, 6, 1),
+            (3, 3, 4, 1)]
 # (d, m, shifts, repeats)
 SUPS = [(2, 2, (0.3, 0.7), 20), (3, 2, (0.3, 0.7), 5)]
 

@@ -264,6 +264,19 @@ class TestOtherCommands:
         assert summary["exploratory"] is True
         assert summary["best_ratio"] <= 1 + 1e-6
 
+    @pytest.mark.parametrize("h", [1e-120, 1e120])
+    def test_sharpness_search_scale_free(self, tmp_path, h):
+        ratios = []
+        for scale in (1.0, h):
+            out = tmp_path / str(scale)
+            code = run(["sharpness-search", "--d", 2, "--m", 1, "--h", scale,
+                        "--budget", 6, "--seed", 0, "--out", out])
+            assert code == 0
+            summary = json.loads((out / "sharpness_summary.json").read_text())
+            ratios.append(summary["best_ratio"])
+        assert np.isfinite(ratios[1]) and ratios[1] >= 0.999
+        assert ratios[1] == ratios[0]
+
     def test_plot_log_axes(self, tmp_path):
         import xml.etree.ElementTree as ET
 

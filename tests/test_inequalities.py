@@ -252,7 +252,8 @@ class TestShiftedSup:
         assert _shifted_sup(1.0, d, 0, []) == pytest.approx(1 / (d + 1),
                                                             rel=1e-12)
 
-    @pytest.mark.parametrize("d,m,n", [(2, 2, 257), (3, 2, 65)])
+    @pytest.mark.parametrize("d,m,n", [(1, 1, 1025), (2, 1, 257), (2, 2, 257),
+                                       (3, 2, 65), (3, 3, 33)])
     def test_not_below_a_dense_lattice(self, d, m, n):
         rng = np.random.default_rng(15)
         axes = [np.linspace(0.0 if i < m else -1.0, 1.0, n) for i in range(d)]
@@ -262,4 +263,22 @@ class TestShiftedSup:
             shifts = rng.uniform(0.05 * h, 0.95 * h, size=m)
             pts = h * np.stack([t.ravel() for t in mesh], axis=-1)
             dense = np.max(np.abs(_shifted_antiderivative(pts, h, shifts)))
-            assert _shifted_sup(h, d, m, shifts) >= dense
+            # the lattice holds every corner, and each row is computed alone
+            assert _shifted_sup(h, d, m, shifts) == dense
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2),
+                                     (3, 3)])
+    def test_monotone_along_axis_lines(self, d, m):
+        # the reason the sup sits at a corner: g_s is monotone in each
+        # coordinate, so along every axis-parallel line its steps share a sign
+        rng = np.random.default_rng(16)
+        lo = np.array([0.0 if i < m else -1.0 for i in range(d)])
+        for _ in range(20):
+            h = rng.uniform(0.75, 1.25)
+            shifts = rng.uniform(0.05 * h, 0.95 * h, size=m)
+            axis = rng.integers(d)
+            pts = np.tile(h * rng.uniform(lo, 1.0), (201, 1))
+            pts[:, axis] = h * np.linspace(lo[axis], 1.0, 201)
+            steps = np.diff(_shifted_antiderivative(pts, h, shifts))
+            tol = 1e-14 * h ** (d + 1)
+            assert np.all(steps >= -tol) or np.all(steps <= tol)
