@@ -379,7 +379,9 @@ def _quartiles(xs):
 
 def compare(lk):
     """Per workload, trace level and metric: both sides' quartiles and
-    median, and the number of seed pairs in which "after" reads lower."""
+    median, and the number of seed pairs in which "after" reads lower.  A
+    workload and trace whose two sides share no seed is left out, with a
+    message naming both sides' seeds."""
     out = {}
     before, after = lk.get("before", []), lk.get("after", [])
     keys = sorted({(r["workload"], r["trace"]) for r in before}
@@ -390,6 +392,11 @@ def compare(lk):
         a = {r["seed"]: r for r in after
              if (r["workload"], r["trace"]) == (workload, trace)}
         seeds = sorted(set(a) & set(b))
+        if not seeds:
+            print(f"lkbench {workload} trace={trace}: no seed in both sides "
+                  f"(before {sorted(b)}, after {sorted(a)}); not compared",
+                  file=sys.stderr)
+            continue
         metrics = {}
         for m in b[seeds[0]]["metrics"]:
             bv = [b[s]["metrics"][m] for s in seeds]

@@ -348,9 +348,10 @@ def cmd_sharpness_search(cfg: dict, outdir: Path) -> int:
         "note": "numerical evidence only; no sharpness claim",
     })
     failures = []
-    if res.best_ratio > 1 + 1e-6:
+    # written so that a NaN ratio fails both checks
+    if not res.best_ratio <= 1 + 1e-6:
         _fail(failures, f"ratio {res.best_ratio} exceeds 1 (impossible)")
-    if cfg["m"] == 1 and res.best_ratio < 0.999:
+    if cfg["m"] == 1 and not res.best_ratio >= 0.999:
         _fail(failures, f"m=1 control ratio {res.best_ratio:.6g} < 0.999")
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 

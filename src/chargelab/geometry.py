@@ -230,20 +230,23 @@ def _first_attaining(A: np.ndarray, rowmax: np.ndarray, rows: np.ndarray):
 
 
 def _pnorm_many(X: np.ndarray, p: float) -> np.ndarray:
-    """The p-norm of each row of X, p in [1, inf], column by column.
+    """The p-norm of each row of X, p in [1, inf], column by column in two
+    column-sized buffers.
 
     Bit-identical to the reductions over the last axis it replaces: a max is
     exact, and np.sum adds a short last axis left to right, as this loop
     does."""
-    A = np.abs(X)
-    if p == math.inf:
-        return _column_max(A)
-    if p != 1:
-        A **= p
-    out = A[..., 0].copy()
-    for k in range(1, A.shape[-1]):
-        out += A[..., k]
-    if p != 1:
+    power = p not in (1, math.inf)
+    combine = np.maximum if p == math.inf else np.add
+    out, col = np.abs(X[..., 0]), None
+    if power:
+        out **= p
+    for k in range(1, X.shape[-1]):
+        col = np.abs(X[..., k], out=col)
+        if power:
+            col **= p
+        combine(out, col, out=out)
+    if power:
         out **= 1.0 / p
     return out
 

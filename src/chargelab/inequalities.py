@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .charges import (
     Charge,
@@ -256,18 +255,28 @@ def box_corner_integral(B: np.ndarray, h: float) -> np.ndarray:
     prod_b = cols[0].copy()
     for c in cols[1:]:
         prod_b *= c
-    # integral of max(u) over the box, by layer-cake segments
-    I = np.zeros(B.shape[0])
-    prev = np.zeros(B.shape[0])
-    pref = np.ones(B.shape[0])
+    # integral of max(u) over the box, by layer-cake segments between the
+    # sorted sides: I += prod_b (s_j - prev) - pref (s_j^(q+1) - prev^(q+1))
+    # / (q+1), in place in column buffers (prev is read once, then powered)
+    I, seg, top = np.zeros_like(prod_b), np.empty_like(prod_b), np.empty_like(prod_b)
+    prev, pref = 0.0, 1.0
     for j, sj in enumerate(_sorted_columns(cols)):
         q = len(cols) - j
-        I += prod_b * (sj - prev) - pref * (sj ** (q + 1) - prev ** (q + 1)) / (
-            q + 1
-        )
-        pref = pref * sj
+        np.subtract(sj, prev, out=seg)
+        seg *= prod_b
+        np.copyto(top, sj)
+        top **= q + 1
+        prev **= q + 1
+        top -= prev
+        top *= pref
+        top /= q + 1
+        seg -= top
+        I += seg
+        pref *= sj
         prev = sj
-    return h * prod_b - I
+    prod_b *= h
+    prod_b -= I
+    return prod_b
 
 
 def _sorted_columns(cols: list) -> list:
@@ -283,37 +292,49 @@ def _sorted_columns(cols: list) -> list:
     return cols
 
 
-def _signed_antiderivative(X: np.ndarray, h: float) -> np.ndarray:
-    """Nested integral of (h - |u|_inf)_+ from 0 to each coordinate."""
-    X = np.asarray(X, dtype=float)
-    sign = np.sign(X[:, 0])
-    for k in range(1, X.shape[1]):
-        sign *= np.sign(X[:, k])
-    return sign * box_corner_integral(np.abs(X), h)
-
-
 def _shifted_antiderivative(X: np.ndarray, h: float, shifts) -> np.ndarray:
     """Nested integral of (h - |u|_inf)_+ over the box between the lower
     limits and the rows of X: from shifts[i] to max(x_i, 0) on the first
     m = len(shifts) axes, from 0 to x_i on the others.  An alternating sum
-    of _signed_antiderivative over the 2^m corners."""
+    over the 2^m corners z of that box of the integral from 0 to |z|
+    (box_corner_integral), times the signs of the last d - m coordinates
+    (the first m coordinates of every corner are >= 0)."""
     X = np.asarray(X, dtype=float)
     m = len(shifts)
     acc = None
     for sub in itertools.product((0, 1), repeat=m):
-        Z = X.copy()
+        Z = np.array(X, order="F")  # contiguous columns
         for i, bit in enumerate(sub):
             if bit:
                 Z[:, i] = shifts[i]
-        Z[:, :m] = np.clip(Z[:, :m], 0.0, None)
-        term = _signed_antiderivative(Z, h)
+        np.clip(Z[:, :m], 0.0, None, out=Z[:, :m])
+        term = box_corner_integral(np.abs(Z, out=Z), h)
         if acc is None:
             acc = term
         elif sum(sub) % 2:
             acc -= term
         else:
             acc += term
+    for k in range(m, X.shape[1]):
+        acc *= np.sign(X[:, k])
     return acc
+
+
+def _shifted_field(h: float, d: int, grid: GridSpec, shifts: tuple) -> GridField:
+    """_shifted_antiderivative on the grid, with the extremal density of the
+    cone R^m_+ x R^(d-m), m = len(shifts), as its mixed derivative, and the
+    sup candidates 0, (h, ..., h) and, for m > 0, (shifts, 0, ..., 0)."""
+    m = len(shifts)
+    mixed_fn, mixed_grad_fn = _extremal_callbacks(
+        ConvexBody.box(d), Cone.orthant(d, m), h)
+    fld = GridField.from_callback(
+        grid, lambda pts: _shifted_antiderivative(pts, h, shifts),
+        mixed_fn=mixed_fn, mixed_grad_fn=mixed_grad_fn,
+    )
+    fld.sup_candidates.extend([np.zeros(d), np.full(d, h)])
+    if m:
+        fld.sup_candidates.append(np.r_[shifts, np.zeros(d - m)])
+    return fld
 
 
 def extremal_mixed_m0(h: float, d: int, grid: GridSpec) -> GridField:
@@ -322,42 +343,30 @@ def extremal_mixed_m0(h: float, d: int, grid: GridSpec) -> GridField:
     sup|f| = h^(d+1)/(d+1) at (h, ..., h); the mixed derivative is the
     extremal density itself.
     """
-    mixed_fn, mixed_grad_fn = _extremal_callbacks(
-        ConvexBody.box(d), Cone.orthant(d, 0), h)
-    fld = GridField.from_callback(
-        grid,
-        lambda pts: _shifted_antiderivative(pts, h, ()),
-        mixed_fn=mixed_fn,
-        mixed_grad_fn=mixed_grad_fn,
-    )
-    fld.sup_candidates.extend([np.zeros(d), np.full(d, h)])
-    return fld
+    return _shifted_field(h, d, grid, ())
 
 
 def split_point(h: float, d: int) -> float:
     """The level a in (0, h) splitting the integral of (h - |x|_inf) over
-    hK ∩ (R_+ x R^(d-1)) into equal halves across the hyperplane x_1 = a."""
+    hK ∩ (R_+ x R^(d-1)) into equal halves across the hyperplane x_1 = a.
+
+    The slice of that integral at x_1 = t is 2^(d-1) (h^d - t^d) / d, so
+    a = h x_d with x_d the root in (0, 1) of F(x) = (d+1) x - x^(d+1) - d/2.
+    F rises (F' = (d+1)(1 - x^d) > 0) from -d/2 to d/2 and is concave, so
+    Newton's method from 0 climbs to the root.  One more step in exact
+    rational arithmetic, rounded once at scale h, makes a correctly rounded.
+    """
     if h <= 0 or d < 1:
         raise GeometryError("need h > 0 and d >= 1")
-
-    def shell(r):
-        # integral of (h - |x'|_inf) over |x'|_inf < r in dimension d-1
-        if d == 1:
-            return 0.0
-        return (h - r) * (2 * r) ** (d - 1) + 2 ** (d - 1) * r**d / d
-
-    def psi(t):
-        base = (h - t) * (2 * t) ** (d - 1) if d > 1 else (h - t)
-        return base + shell(h) - shell(t)
-
-    total = h ** (d + 1) / (d + 1) * 2 ** (d - 1)
-
-    def half_deficit(a):
-        val, _ = quad(psi, 0.0, a, epsabs=1e-14, epsrel=1e-13, limit=200)
-        return val - total / 2.0
-
-    a = brentq(half_deficit, 1e-12 * h, h * (1 - 1e-12), xtol=1e-14, rtol=8.9e-16)
-    return float(a)
+    x = 0.0
+    while True:
+        step = (d / 2 - (d + 1) * x + x ** (d + 1)) / ((d + 1) * (1 - x**d))
+        if x + step <= x:
+            break
+        x += step
+    q = Fraction(x)
+    q += (Fraction(d, 2) - (d + 1) * q + q ** (d + 1)) / ((d + 1) * (1 - q**d))
+    return float(Fraction(h) * q)
 
 
 def extremal_mixed_m1(h: float, d: int, grid: GridSpec) -> GridField:
@@ -367,17 +376,7 @@ def extremal_mixed_m1(h: float, d: int, grid: GridSpec) -> GridField:
     sup|g| = h^(d+1)/(2(d+1)); the mixed derivative is the extremal density
     restricted to the cone.
     """
-    a = split_point(h, d)
-    mixed_fn, mixed_grad_fn = _extremal_callbacks(
-        ConvexBody.box(d), Cone.orthant(d, 1), h)
-    fld = GridField.from_callback(
-        grid, lambda pts: _shifted_antiderivative(pts, h, (a,)),
-        mixed_fn=mixed_fn, mixed_grad_fn=mixed_grad_fn,
-    )
-    start = np.zeros(d)
-    start[0] = a
-    fld.sup_candidates.extend([np.zeros(d), np.full(d, h), start])
-    return fld
+    return _shifted_field(h, d, grid, (split_point(h, d),))
 
 
 # -- exploratory sharpness search (m >= 2) --------------------------------

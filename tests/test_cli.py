@@ -277,6 +277,20 @@ class TestOtherCommands:
         assert np.isfinite(ratios[1]) and ratios[1] >= 0.999
         assert ratios[1] == ratios[0]
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sharpness_search_nan_ratio_fails(self, tmp_path, monkeypatch,
+                                              capsys, m):
+        from chargelab import cli
+        from chargelab.inequalities import SharpnessResult
+
+        nan = float("nan")
+        monkeypatch.setattr(cli, "sharpness_search", lambda *a, **k:
+                            SharpnessResult(nan, np.full(m, 0.5), [(0, nan)]))
+        code = run(["sharpness-search", "--d", 2, "--m", m, "--budget", 1,
+                    "--out", tmp_path])
+        assert code == 1
+        assert "ratio nan exceeds 1" in capsys.readouterr().err
+
     def test_plot_log_axes(self, tmp_path):
         import xml.etree.ElementTree as ET
 

@@ -155,6 +155,21 @@ class TestSplitPoint:
         assert split_point(2.0, 1) == pytest.approx(2 * split_point(1.0, 1),
                                                     abs=1e-9)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_within_one_ulp_of_a_50_digit_root(self, d):
+        # a = h x_d, x_d the root in (0, 1) of (d+1) x - x^(d+1) = d/2
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            def F(t):
+                return (d + 1) * t - t ** (d + 1) - mpmath.mpf(d) / 2
+
+            x = mpmath.findroot(F, (mpmath.mpf(0), mpmath.mpf(1)),
+                                solver="bisect")
+            for h in (1e-3, 0.3, 0.75, 1.0, 1.25, 2.5, 7.0, 1e3):
+                want = mpmath.mpf(h) * x
+                got = split_point(h, d)
+                assert abs(mpmath.mpf(got) - want) <= math.ulp(float(want)), h
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_splits_mass_in_half_on_a_grid(self, d):
         # independent cross-check by lattice quadrature of the density over
