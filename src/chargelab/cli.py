@@ -152,7 +152,7 @@ def _verify_reports(cfg: dict):
             grid = _charge_grid(K, C.m, h, n)
             fld = extremal_density(K, C, h, grid)
             reports.append(nagy_inequality(fld, K, C, h, tol))
-        elif case in ("mixed-m0", "mixed-m1"):
+        else:  # mixed-m0, mixed-m1
             mm = 0 if case == "mixed-m0" else 1
             p = MixedParams(d=d, m=mm, h=h)
             grid = GridSpec.for_cone(d, mm, 1.5 * h, n)
@@ -163,8 +163,6 @@ def _verify_reports(cfg: dict):
             )
             reports.append(lk_additive_mixed(f, p, tol))
             reports.append(lk_multiplicative_mixed(f, p, tol))
-        else:
-            raise ConfigError(f"unknown verify case {case!r}")
     return reports
 
 
@@ -191,10 +189,8 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
     d, m = cfg["d"], cfg["m"]
     if cfg["setting"] == "charge":
         setting = ProblemSetting.charge(ConvexBody.box(d), Cone.orthant(d, m))
-    elif cfg["setting"] == "mixed":
-        setting = ProblemSetting.mixed(d, m)
     else:
-        raise ConfigError(f"unknown setting {cfg['setting']!r}")
+        setting = ProblemSetting.mixed(d, m)
 
     Ns = np.geomspace(cfg["n_min"], cfg["n_max"], cfg["n_points"])
     write_csv(outdir / "stechkin_curve.csv", ["N", "E_N", "h_N"],

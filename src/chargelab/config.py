@@ -6,6 +6,8 @@ cone kind; unknown keys are rejected before any computation runs.
 
 from __future__ import annotations
 
+import math
+import sys
 from pathlib import Path
 
 import yaml
@@ -62,9 +64,25 @@ SCHEMAS = {
 
 
 def _each_positive(v, cfg) -> bool:
-    """A positive number, or a list of positive numbers."""
-    return all(isinstance(x, (int, float)) and x > 0
+    """A positive finite number, or a list of them."""
+    return all(isinstance(x, (int, float)) and 0 < x < math.inf
                for x in (v if isinstance(v, list) else [v]))
+
+
+def _verify_radii(v, cfg) -> bool:
+    """Positive finite radii h whose h^(d+1) and h^(-d), the scales of a
+    verify report, are finite normal floats."""
+    try:
+        return _each_positive(v, cfg) and all(
+            sys.float_info.min <= float(h) ** k
+            for h in (v if isinstance(v, list) else [v])
+            for k in (cfg["d"] + 1, -cfg["d"]))
+    except OverflowError:  # a float power that overflows raises
+        return False
+
+
+VERIFY_CASES = ("extremal-charge", "gaussian-charge", "zero",
+                "corrupted-extremal", "nagy-extremal", "mixed-m0", "mixed-m1")
 
 
 # the smallest grid on which the density of a verify case, stechkin-curve
@@ -89,6 +107,12 @@ def _grid_range(command: str):
 # key -> (test of a set value against the merged config, what it must be:
 # text or a function of that config); (command, key) entries come first
 _RANGES = {
+    ("verify", "case"): (lambda v, cfg: v in VERIFY_CASES,
+                         f"one of {', '.join(VERIFY_CASES)}"),
+    ("stechkin-curve", "setting"): (lambda v, cfg: v in ("charge", "mixed"),
+                                    "charge or mixed"),
+    ("verify", "h"): (_verify_radii, "positive, with h^(d+1) and h^-d finite "
+                                     "normal floats"),
     "d": (lambda v, cfg: v >= 1, "at least 1"),
     "m": (lambda v, cfg: 0 <= v <= cfg["d"], "in [0, d]"),
     ("sharpness-search", "m"): (lambda v, cfg: 1 <= v <= cfg["d"], "in [1, d]"),
@@ -97,7 +121,7 @@ _RANGES = {
     "tol": (lambda v, cfg: v >= 0, "nonnegative"),
     "budget": (lambda v, cfg: v >= 0, "nonnegative"),
     "n_points": (lambda v, cfg: v >= 1, "at least 1"),
-    **{key: (_each_positive, "positive")
+    **{key: (_each_positive, "positive and finite")
        for key in ("h", "h_attained", "deltas", "n_min", "n_max",
                    "delta_min", "delta_max")},
 }
@@ -146,7 +170,25 @@ def validate(command: str, cfg: dict) -> dict:
             what = check[1](out) if callable(check[1]) else check[1]
             raise ConfigError(f"config key {key!r} must be {what}, "
                               f"got {out[key]!r}")
+    if command == "verify":
+        _reject_unread(cfg, out)
     return out
+
+
+def _reject_unread(raw: dict, cfg: dict) -> None:
+    """Keys set in a verify config that its case would ignore: m, body and
+    cone on a mixed case (its name fixes m; it runs on the box and the
+    orthant), and m beside a cone (the cone spec holds its own m)."""
+    given = {key for key, v in raw.items() if v is not None}
+    if cfg["case"].startswith("mixed-"):
+        unread = sorted(given & {"m", "body", "cone"})
+        if unread:
+            raise ConfigError(f"verify case {cfg['case']!r} reads no {unread}: "
+                              "its name fixes m, and it runs on the box and "
+                              "the orthant")
+    elif {"m", "cone"} <= given:
+        raise ConfigError("config key 'm' is not read beside a cone: "
+                          "give the cone's own m")
 
 
 # body and cone kind -> the keys its spec may hold

@@ -73,18 +73,8 @@ class InequalityReport:
             raise ValueError(f"non-finite report values in case {self.case}")
 
     def csv_row(self) -> list[str]:
-        return [
-            self.case,
-            str(self.d),
-            str(self.m),
-            format_float(self.h),
-            self.grid,
-            format_float(self.lhs),
-            format_float(self.rhs),
-            format_float(self.slack),
-            "1" if self.equality else "0",
-            format_float(self.coverage),
-        ]
+        row = self.to_dict()
+        return [_csv_cell(row[k]) for k in CSV_COLUMNS]
 
     def to_dict(self) -> dict:
         out = {

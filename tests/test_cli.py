@@ -71,8 +71,10 @@ class TestVerifyCommand:
         assert data[0]["slack"] < -1e-3
 
     def test_unknown_case_exit_2(self, tmp_path, capsys):
-        assert run(["verify", "--case", "nope", "--out", tmp_path]) == 2
+        out = tmp_path / "out"
+        assert run(["verify", "--case", "nope", "--out", out]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output
 
     def test_config_file_with_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
@@ -149,6 +151,21 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        "case: mixed-m0\nm: 2\nbody: {kind: pball, p: 2}\n"
+        "cone: {kind: halfspaces, normals: [[1, 0], [0, 1]]}",
+        "case: mixed-m1\nm: 1",
+        "case: mixed-m1\nbody: {kind: pball, p: 2}",
+        "case: mixed-m0\ncone: {kind: orthant, m: 0}",
+        "case: nagy-extremal\nm: 1\ncone: {kind: orthant, m: 1}",
+    ], ids=["mixed-m0-all-three", "mixed-m", "mixed-body", "mixed-cone",
+            "m-beside-cone"])
+    def test_key_the_case_ignores_exit_2(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"d: 2\ngrid: 32\n{spec}\n")
+        assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_density_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("case: zero\ndensity: {path: does-not-exist.csv}\n")
@@ -179,6 +196,14 @@ class TestVerifyCommand:
     ["verify", "--h", 0], ["verify", "--h", -1], ["verify", "--d", 0],
     ["verify", "--grid", 1], ["verify", "--m", 3, "--d", 2],
     ["verify", "--tol", -1],
+    # radii whose h^(d+1) or h^-d is not a finite normal float
+    ["verify", "--d", 2, "--h", 1e-300],
+    ["verify", "--case", "nagy-extremal", "--d", 2, "--h", 1e-200],
+    ["verify", "--d", 2, "--h", 1e120],
+    ["verify", "--case", "mixed-m1", "--d", 2, "--h", "inf"],
+    ["verify", "--h", "inf"], ["verify", "--d", 1, "--h", 1e-300],
+    ["recover", "--deltas", "inf"],
+    ["stechkin-curve", "--setting", "nope"],
     ["stechkin-curve", "--d", 0],
     ["stechkin-curve", "--setting", "mixed", "--d", 2, "--m", 3],
     ["recover", "--deltas", "0"], ["recover", "--grid", 1],
