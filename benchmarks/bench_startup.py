@@ -20,6 +20,17 @@ lkbench pinned to 1:
   `stechkin-curve`, `recover`, `sharpness-search`): the wall time of
   `python -m chargelab.cli ...` as a subprocess, CLI_REPEATS times, with
   its exit code;
+- lkbench's `general-body` build (`workloads.general_build`: the 2-ball
+  and the hexagon by vertices, their extremal densities on 24^2 cells) in a
+  fresh process that has imported NumPy and chargelab: its wall time (median
+  and quartiles of IMPORT_REPEATS processes) and the number of `scipy`
+  modules in `sys.modules` after it;
+- polytope completion in process (`ConvexBody.polytope`, after one warm-up
+  call): the hexagon, the 4-D cross-polytope and the 24-cell by vertices,
+  and the cube by facets;
+- `windows.lattice_window_sums` in process (after one warm-up call) on
+  fixed-seed normal values at 24^2, 128^2, 48^3 and 96^3 cells, with the
+  0/1 indicator of a Euclidean ball of radius n/3 cells;
 - lkbench's `box-hsup`, `general-body` and `cli-session` workloads in
   process: minor page faults (`ru_minflt`) per operation, the median over
   FAULT_OPS operations after one warm-up, and the peak resident set size.
@@ -42,8 +53,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import harness
-from harness import ROOT, summary, timed
+from harness import ALL_STATS, ROOT, summary, timed
 
 sys.path.insert(0, str(ROOT / "lkbench"))
 from run import THREAD_VARS  # noqa: E402  (lkbench's one-thread pinning)
@@ -55,12 +68,28 @@ CLI_COMMANDS = [["verify", "--case", "extremal-charge"],
                 ["verify", "--case", "mixed-m1"],
                 ["stechkin-curve"], ["recover"], ["sharpness-search"]]
 WORKLOADS = ["box-hsup", "general-body", "cli-session"]
+COMPLETION_REPEATS = 50
+# cells per axis, dimension, timed calls
+CORRELATION_CASES = [(24, 2, 200), (128, 2, 30), (48, 3, 20), (96, 3, 5)]
 
 IMPORT_PROBE = """
 import sys, time
 t0 = time.perf_counter()
 import chargelab
 t1 = time.perf_counter()
+print(t1 - t0, sum(1 for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+
+BUILD_PROBE = """
+import pathlib, sys, tempfile, time
+sys.path.insert(0, {lkbench!r})
+import numpy, chargelab
+import workloads
+
+with tempfile.TemporaryDirectory() as tmp:
+    t0 = time.perf_counter()
+    workloads.WORKLOADS["general-body"].build(1, pathlib.Path(tmp))
+    t1 = time.perf_counter()
 print(t1 - t0, sum(1 for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
 """
 
@@ -136,6 +165,55 @@ def cli_row(src: str, argv: list) -> dict:
             "exit_codes": sorted(codes)}
 
 
+def build_row(src: str) -> dict:
+    code = BUILD_PROBE.format(lkbench=str(ROOT / "lkbench"))
+    walls, scipy_modules = [], set()
+    for _ in range(IMPORT_REPEATS):
+        wall, n_scipy = harness.run([sys.executable, "-c", code], _env(src)).stdout.split()
+        walls.append(float(wall))
+        scipy_modules.add(int(n_scipy))
+    return {"case": "lkbench general-body build, fresh process",
+            "repeats": IMPORT_REPEATS, **summary(walls, "s", ("q1", "median", "q3")),
+            "scipy_modules": sorted(scipy_modules)}
+
+
+def completion_rows() -> list:
+    from chargelab import ConvexBody
+
+    E = np.eye(4)
+    cell_24 = [s * E[i] + t * E[j] for i in range(4) for j in range(i + 1, 4)
+               for s in (1, -1) for t in (1, -1)]
+    cube = [(s * np.eye(3)[i], 1.0) for i in range(3) for s in (1, -1)]
+    bodies = {"hexagon by vertices": harness.hexagon,
+              "cube by facets": lambda: ConvexBody.polytope(3, facets=cube),
+              "4-D cross-polytope by vertices":
+                  lambda: ConvexBody.polytope(4, vertices=np.vstack([E, -E])),
+              "24-cell by vertices": lambda: ConvexBody.polytope(4, vertices=cell_24)}
+    rows = []
+    for name, build in bodies.items():
+        K, times = timed(build, COMPLETION_REPEATS, warmup=True)
+        rows.append({"case": f"polytope completion {name}", "repeats": COMPLETION_REPEATS,
+                     **summary(times, "ms", ALL_STATS), "vertices": len(K.vertices),
+                     "facets": len(K.facet_offsets)})
+    return rows
+
+
+def correlation_rows() -> list:
+    from chargelab import windows
+
+    rows = []
+    for n, d, repeats in CORRELATION_CASES:
+        values = np.random.default_rng(n + d).normal(size=(n,) * d)
+        r = n // 3
+        offsets = np.meshgrid(*[np.arange(-r, r + 1)] * d, indexing="ij")
+        indicator = (sum(o.astype(float) ** 2 for o in offsets) < r * r).astype(float)
+        _, times = timed(lambda: windows.lattice_window_sums(values, indicator), repeats,
+                         warmup=True)
+        rows.append({"case": f"lattice_window_sums {n}^{d}", "repeats": repeats,
+                     **summary(times, "ms", ALL_STATS)})
+    return rows
+
+
 def fault_row(src: str, workload: str) -> dict:
     code = FAULT_PROBE.format(lkbench=str(ROOT / "lkbench"), workload=workload,
                               ops=FAULT_OPS)
@@ -147,7 +225,11 @@ def fault_row(src: str, workload: str) -> dict:
 def measure(args):
     rows = [import_row(args.src)]
     rows += [cli_row(args.src, argv) for argv in CLI_COMMANDS]
+    rows += [build_row(args.src)]
     rows += [fault_row(args.src, w) for w in WORKLOADS]
+    # in process last: a child started later would inherit this process's
+    # peak resident set size in its own ru_maxrss
+    rows += [*completion_rows(), *correlation_rows()]
     return {"startup": rows}
 
 

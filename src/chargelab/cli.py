@@ -418,7 +418,10 @@ def main(argv=None) -> int:
             val = getattr(args, key, None)
             if val is not None:
                 if key == "deltas":
-                    val = [float(t) for t in val.split(",")]
+                    try:
+                        val = [float(t) for t in val.split(",")]
+                    except ValueError as e:
+                        raise ConfigError(f"--deltas {val!r}: {e}") from e
                 cfg[key] = val
         cfg = validate(args.command, cfg)
     except ConfigError as e:

@@ -1,11 +1,12 @@
 """Symmetric convex bodies and convex cones.
 
 A body K is an open bounded convex set, symmetric about the origin, given
-either as a polytope (vertices + facets) or as a p-ball.  It carries the
-Minkowski gauge |x|_K, the dual (polar) norm |x|_{K°}, and the gradient of
-the gauge.  Cones are either orthant products R^m_+ x R^(d-m) or finite
-halfspace intersections.  The volume of K∩C is exact (a closed form for
-p-ball orthants, qhull for polytopes, the box and the 1-ball) except for a
+either as a polytope (vertices + facets, either completed from the other in
+NumPy by polar duality) or as a p-ball.  It carries the Minkowski gauge
+|x|_K, the dual (polar) norm |x|_{K°}, and the gradient of the gauge.  Cones
+are either orthant products R^m_+ x R^(d-m) or finite halfspace
+intersections.  The volume of K∩C is exact (a closed form for p-ball
+orthants, qhull for polytopes, the box and the 1-ball) except for a
 p-ball with 1 < p < inf and a halfspaces cone, where a lattice count stands
 in.  That count, the cell-center quadrature of the gauge over hK∩C and the
 lattice indicators of windows all read one gauge-and-cone pass over blocks
@@ -14,6 +15,7 @@ of whole first-axis rows of a lattice (_cone_gauges).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,45 +80,33 @@ class ConvexBody:
     def polytope(cls, d: int, vertices=None, facets=None) -> "ConvexBody":
         """Build a symmetric polytope from vertices and/or facets.
 
-        Completion of the missing representation (convex hull or halfspace
-        intersection) is supported for d <= 4.
+        A missing representation comes from the other by polar duality
+        (_polar_vertices): the facets (w, x) < 1 of K are the vertices w of
+        {w : (v, w) <= 1 for every vertex v}, and the vertices of K are those
+        of {x : (n_i, x) <= delta_i}.  Completion is supported for d <= 4.
         """
         if d < 1:
             raise GeometryError("dimension must be >= 1")
         if vertices is None and facets is None:
             raise GeometryError("need vertices or facets")
         verts = None if vertices is None else np.asarray(vertices, dtype=float)
+        normals = offsets = None
         if facets is not None:
             normals = np.asarray([f[0] for f in facets], dtype=float)
             offsets = np.asarray([f[1] for f in facets], dtype=float)
             norms = np.linalg.norm(normals, axis=1)
             normals = normals / norms[:, None]
             offsets = offsets / norms
-        else:
-            normals = offsets = None
-
-        from scipy.spatial import QhullError
-
-        try:
-            if verts is None:
-                if d > 4:
-                    raise GeometryError("vertex enumeration only supported for d <= 4")
-                verts = _vertices_from_facets(d, normals, offsets)
-            if normals is None:
-                if d > 4:
-                    raise GeometryError("facet enumeration only supported for d <= 4")
-                normals, offsets = _facets_from_vertices(d, verts)
-        except QhullError as e:
-            raise GeometryError("qhull cannot complete the polytope: "
-                                + str(e).splitlines()[0]) from e
-
-        body = cls(
-            d=d,
-            kind="polytope",
-            vertices=verts,
-            facet_normals=normals,
-            facet_offsets=offsets,
-        )
+            if not np.all(offsets > 0):
+                raise GeometryError("origin must be interior: all facet offsets positive")
+        if verts is None:
+            verts = _polar_vertices(d, normals / offsets[:, None], "facet normals")
+        if normals is None:
+            W = _polar_vertices(d, verts, "vertices")
+            offsets = 1.0 / np.linalg.norm(W, axis=1)
+            normals = W * offsets[:, None]
+        body = cls(d=d, kind="polytope", vertices=verts, facet_normals=normals,
+                   facet_offsets=offsets)
         body._validate_polytope()
         return body
 
@@ -124,8 +114,6 @@ class ConvexBody:
         V, N, D = self.vertices, self.facet_normals, self.facet_offsets
         if V.ndim != 2 or V.shape[1] != self.d:
             raise GeometryError("vertex array must have shape (nv, d)")
-        if np.any(D <= 0):
-            raise GeometryError("origin must be interior: all facet offsets positive")
         # central symmetry of both lists
         for v in V:
             if np.min(np.linalg.norm(V + v, axis=1)) > 1e-9 * (1 + np.linalg.norm(v)):
@@ -259,47 +247,33 @@ def _conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _facets_from_vertices(d: int, verts: np.ndarray):
-    if d == 1:
-        v = float(np.max(np.abs(verts)))
-        return np.array([[1.0], [-1.0]]), np.array([v, v])
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(verts)
-    eqs = hull.equations  # n.x + b <= 0, |n| = 1
-    normals = eqs[:, :-1]
-    offsets = -eqs[:, -1]
-    # dedupe coplanar facet copies
-    keep = []
-    for i in range(len(normals)):
-        dup = False
-        for j in keep:
-            if (
-                np.linalg.norm(normals[i] - normals[j]) < 1e-9
-                and abs(offsets[i] - offsets[j]) < 1e-9
-            ):
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
-    return normals[keep], offsets[keep]
-
-
-def _vertices_from_facets(d: int, normals: np.ndarray, offsets: np.ndarray):
-    if d == 1:
-        v = float(np.min(offsets / np.abs(normals[:, 0])))
-        return np.array([[v], [-v]])
-    from scipy.spatial import HalfspaceIntersection
-
-    halfspaces = np.hstack([normals, -offsets[:, None]])
-    hs = HalfspaceIntersection(halfspaces, np.zeros(d))
-    pts = hs.intersections
-    # dedupe
-    verts = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > 1e-9 for q in verts):
-            verts.append(p)
-    return np.array(verts)
+def _polar_vertices(d: int, P: np.ndarray, what: str) -> np.ndarray:
+    """Vertices of {x : (p, x) <= 1 for every row p of P}, which has one iff
+    the rows (`what` in errors) span R^d; for P = V, the polar of conv(V),
+    whose vertices w are its facets (w, x) <= 1.  Each solves P_S x = 1 for a
+    nonsingular d-subset S of the rows (walked in blocks of _BLOCK) and meets
+    every row to a relative 1e-9; solutions tight on the same rows are one
+    vertex, listed in the order of its first subset."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != d or not np.all(np.isfinite(P)):
+        raise GeometryError(f"{what} must be a finite array of shape (n, {d})")
+    if d > 4:
+        raise GeometryError("polytope completion only supported for d <= 4")
+    if len(P) < d or np.linalg.matrix_rank(P) < d:
+        raise GeometryError(f"{what} do not span R^{d}: the polytope is "
+                            + ("flat" if what == "vertices" else "unbounded"))
+    norms = np.linalg.norm(P, axis=1)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(len(P)), d))
+    found = []
+    while len(S := np.fromiter(itertools.islice(subsets, _BLOCK * d), np.intp)):
+        A = P[S.reshape(-1, d)]
+        # nonsingular: |det| well above rounding of Hadamard's bound
+        A = A[np.abs(np.linalg.det(A)) > 1e-10 * np.prod(norms[S].reshape(-1, d), axis=1)]
+        X = np.linalg.solve(A, np.ones(A.shape[:2] + (1,)))[..., 0]
+        found.append(X[np.all(X @ P.T <= 1 + 1e-9, axis=1)])
+    X = np.concatenate(found)
+    tight = np.packbits(X @ P.T >= 1 - 1e-9, axis=1)
+    return X[np.sort(np.unique(tight, axis=0, return_index=True)[1])]
 
 
 # -- cones ----------------------------------------------------------------

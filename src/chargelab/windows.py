@@ -10,11 +10,14 @@ windows: cells cut by a face count with the fraction inside, the exact
 integral of the piecewise-constant values), the latter by linear
 interpolation of the table.  A window of any other shape, translated to every
 cell center, is a discrete correlation of the values with the window's 0/1
-indicator over integer cell offsets, computed by one real FFT.  Direct
-slicing of the values is kept as the oracle.
+indicator over integer cell offsets, computed by one real FFT in NumPy,
+whose passes round as scipy.fft's do.  Direct slicing of the values is kept
+as the oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -118,18 +121,36 @@ def lattice_window_sums(values: np.ndarray, indicator: np.ndarray) -> np.ndarray
     as zero.  One real FFT correlation: a periodic length of n_k + r_k per
     axis already keeps wrapped terms out of the n_k cells returned.
     """
-    from scipy import fft
-
     r = [(k - 1) // 2 for k in indicator.shape]
     if any(k % 2 == 0 or rk >= n for k, rk, n in zip(indicator.shape, r, values.shape)):
         raise ValueError("indicator needs odd length 2r+1 with r < n on every axis")
-    shape = [fft.next_fast_len(n + rk, real=True) for n, rk in zip(values.shape, r)]
-    axes = tuple(range(values.ndim))
-    # correlation with the indicator is convolution with its reflection
+    shape = [_next_fast_len(n + rk) for n, rk in zip(values.shape, r)]
+    # correlation with the indicator is convolution with its reflection; the
+    # passes go first to last axis and scale once, as scipy.fft does (np.fft's
+    # rfftn goes last to first and scales per axis), so round as it does
     flipped = indicator[(slice(None, None, -1),) * values.ndim]
-    spec = fft.rfftn(values, shape, axes=axes) * fft.rfftn(flipped, shape, axes=axes)
-    full = fft.irfftn(spec, shape, axes=axes)
-    return full[tuple(slice(rk, rk + n) for rk, n in zip(r, values.shape))]
+    specs = [np.fft.rfft(a, shape[-1], -1) for a in (values, flipped)]
+    for axis, n in enumerate(shape[:-1]):
+        specs = [np.fft.fft(spec, n, axis) for spec in specs]
+    spec = specs[0] * specs[1]
+    for axis, n in enumerate(shape[:-1]):
+        spec = np.fft.ifft(spec, n, axis, norm="forward")
+    full = np.fft.irfft(spec, shape[-1], -1, norm="forward")
+    return full[tuple(slice(rk, rk + n) for rk, n in zip(r, values.shape))] * (
+        1.0 / math.prod(shape))
+
+
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth length 2^a 3^b 5^c >= n, which the real FFT
+    factors into its fastest radices (scipy.fft.next_fast_len(n, real=True))."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def box_window_sum_direct(values: np.ndarray, i0s, i1s) -> float:

@@ -151,6 +151,21 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d, spec, cause", [
+        (2, "vertices: [[1, 0], [-1, 0]]", "vertices do not span R^2: the polytope is flat"),
+        (3, "vertices: [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]",
+         "vertices do not span R^3: the polytope is flat"),
+        (2, "facets: [[[1, 0], 1], [[-1, 0], 1]]",
+         "facet normals do not span R^2: the polytope is unbounded"),
+    ], ids=["segment", "square-in-3d", "slab"])
+    def test_polytope_that_cannot_close_names_the_cause(self, tmp_path, capsys,
+                                                         d, spec, cause):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"case: nagy-extremal\nd: {d}\nbody: {{kind: polytope, {spec}}}\n")
+        assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and cause in err
+
     @pytest.mark.parametrize("spec", [
         "case: mixed-m0\nm: 2\nbody: {kind: pball, p: 2}\n"
         "cone: {kind: halfspaces, normals: [[1, 0], [0, 1]]}",
@@ -207,6 +222,8 @@ class TestVerifyCommand:
     ["stechkin-curve", "--d", 0],
     ["stechkin-curve", "--setting", "mixed", "--d", 2, "--m", 3],
     ["recover", "--deltas", "0"], ["recover", "--grid", 1],
+    # --deltas that is not a comma-separated list of numbers
+    ["recover", "--deltas", "abc"], ["recover", "--deltas", "0.1,,1"],
     ["sharpness-search", "--m", 0], ["sharpness-search", "--h", -1],
     ["sharpness-search", "--d", 2, "--m", 3],
     ["sharpness-search", "--budget", -1],

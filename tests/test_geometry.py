@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -152,6 +153,129 @@ class TestPolytopeConstruction:
         X = rng.normal(size=(200, 3))
         np.testing.assert_allclose(K.gauge_many(X), L1.gauge_many(X),
                                    rtol=1e-9)
+
+
+def qhull_facets(V):
+    """Reference facets (unit normals, offsets) of conv(V) from qhull, one
+    row per facet: qhull splits a facet into simplices that share its
+    equation."""
+    from scipy.spatial import ConvexHull
+
+    eqs = ConvexHull(V).equations
+    return distinct_rows(np.hstack([eqs[:, :-1], -eqs[:, -1:]]))
+
+
+def qhull_vertices(normals, offsets):
+    """Reference vertices of {x : (n_i, x) <= delta_i} from qhull."""
+    from scipy.spatial import HalfspaceIntersection
+
+    hs = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
+                               np.zeros(normals.shape[1]))
+    return distinct_rows(hs.intersections)
+
+
+def distinct_rows(A, tol=1e-9):
+    keep = []
+    for a in A:
+        if all(np.max(np.abs(a - b)) > tol for b in keep):
+            keep.append(a)
+    return np.array(keep)
+
+
+def assert_same_rows(A, B, tol=1e-12):
+    """A and B hold the same rows, in any order, to tol."""
+    assert A.shape == B.shape
+    dist = np.max(np.abs(A[:, None, :] - B[None, :, :]), axis=2)
+    assert np.all(dist.min(axis=1) <= tol) and np.all(dist.min(axis=0) <= tol)
+
+
+def facet_rows(K):
+    return np.hstack([K.facet_normals, K.facet_offsets[:, None]])
+
+
+def cross_polytope(d):
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+def cell_24():
+    """The 24 vertices +-e_i +- e_j (i < j) of the 24-cell."""
+    E = np.eye(4)
+    return np.array([s * E[i] + t * E[j] for i in range(4) for j in range(i + 1, 4)
+                     for s in (1, -1) for t in (1, -1)])
+
+
+def random_symmetric_hull(d, seed, points):
+    """The vertices of the hull of fixed-seed normal points and their mirror
+    images."""
+    from scipy.spatial import ConvexHull
+
+    P = np.random.default_rng(seed).normal(size=(points, d))
+    V = np.vstack([P, -P])
+    return V[ConvexHull(V).vertices]
+
+
+CUBE_FACETS = [(s * np.eye(3)[i], 1.0) for i in range(3) for s in (1, -1)]
+
+BY_VERTICES = {"hexagon": (2, np.array(HEX_VERTS)),
+               "cross-polytope-4": (4, cross_polytope(4)),
+               "24-cell": (4, cell_24()),
+               # 8 points at d = 4 give 52 facets; completing the vertices
+               # walks every 4-subset of them (12 points: 100 facets, 3.9 M
+               # subsets, about 7 s)
+               **{f"random-d{d}": (d, random_symmetric_hull(d, 40 + d, 12 if d < 4 else 8))
+                  for d in (2, 3, 4)}}
+
+
+class TestPolytopeCompletion:
+    """The NumPy completion of ConvexBody.polytope against qhull."""
+
+    @pytest.mark.parametrize("name", BY_VERTICES)
+    def test_facets_match_qhull(self, name):
+        d, V = BY_VERTICES[name]
+        K = ConvexBody.polytope(d, vertices=V)
+        assert_same_rows(facet_rows(K), qhull_facets(V))
+
+    @pytest.mark.parametrize("name", [*BY_VERTICES, "cube"])
+    def test_vertices_match_qhull_and_round_trip(self, name):
+        # facets -> vertices -> facets
+        if name == "cube":
+            Kf = ConvexBody.polytope(3, facets=CUBE_FACETS)
+        else:
+            d, V = BY_VERTICES[name]
+            Kv = ConvexBody.polytope(d, vertices=V)
+            Kf = ConvexBody.polytope(d, facets=list(zip(Kv.facet_normals, Kv.facet_offsets)))
+            assert_same_rows(Kf.vertices, V)
+        assert_same_rows(Kf.vertices, qhull_vertices(Kf.facet_normals, Kf.facet_offsets))
+        back = ConvexBody.polytope(Kf.d, vertices=Kf.vertices)
+        assert_same_rows(facet_rows(back), facet_rows(Kf))
+
+    def test_cube_vertices_and_facets(self):
+        # 4 vertices on each facet: 4 triples of them give each facet
+        K = ConvexBody.polytope(3, facets=CUBE_FACETS)
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        assert_same_rows(K.vertices, corners, tol=0)
+        back = ConvexBody.polytope(3, vertices=corners)
+        assert_same_rows(facet_rows(back), facet_rows(K), tol=0)
+
+    @pytest.mark.parametrize("V", [[[1, 0], [-1, 0]],
+                                   [[1, 1], [-1, -1], [2, 2], [-2, -2]],
+                                   [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]],
+                             ids=["segment", "collinear", "square-in-3d"])
+    def test_flat_vertex_set_rejected(self, V):
+        with pytest.raises(GeometryError, match="vertices do not span .* flat"):
+            ConvexBody.polytope(len(V[0]), vertices=V)
+
+    @pytest.mark.parametrize("normals", [[[1, 0], [-1, 0]],
+                                         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]],
+                             ids=["slab", "prism"])
+    def test_facets_that_do_not_span_rejected(self, normals):
+        with pytest.raises(GeometryError, match="normals do not span .* unbounded"):
+            ConvexBody.polytope(len(normals[0]), facets=[(n, 1.0) for n in normals])
+
+    def test_non_positive_offset_rejected(self):
+        facets = [([1, 0], 1.0), ([-1, 0], 1.0), ([0, 1], 0.0), ([0, -1], 1.0)]
+        with pytest.raises(GeometryError, match="offsets positive"):
+            ConvexBody.polytope(2, facets=facets)
 
 
 class TestCone:

@@ -158,3 +158,35 @@ class TestIndexRange:
 
 def test_kernel_name_reported():
     assert windows.KERNEL == "separable"
+
+
+def scipy_window_sums(values, indicator):
+    """The correlation by scipy.fft, as the NumPy passes mirror it."""
+    from scipy import fft
+
+    r = [(k - 1) // 2 for k in indicator.shape]
+    shape = [fft.next_fast_len(n + rk, real=True) for n, rk in zip(values.shape, r)]
+    axes = tuple(range(values.ndim))
+    flipped = indicator[(slice(None, None, -1),) * values.ndim]
+    spec = fft.rfftn(values, shape, axes=axes) * fft.rfftn(flipped, shape, axes=axes)
+    full = fft.irfftn(spec, shape, axes=axes)
+    return full[tuple(slice(rk, rk + n) for rk, n in zip(r, values.shape))]
+
+
+class TestLatticeWindowSums:
+    def test_next_fast_len_matches_scipy(self):
+        from scipy import fft
+
+        for n in range(1, 5001):
+            assert windows._next_fast_len(n) == fft.next_fast_len(n, real=True), n
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_scipy_fft(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            shape = tuple(int(n) for n in rng.integers(2, 30 if d < 3 else 14, size=d))
+            radii = [int(rng.integers(0, n)) for n in shape]
+            values = rng.normal(size=shape)
+            indicator = (rng.random([2 * r + 1 for r in radii]) < 0.5).astype(float)
+            got = windows.lattice_window_sums(values, indicator)
+            assert np.array_equal(got, scipy_window_sums(values, indicator))
