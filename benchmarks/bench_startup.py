@@ -25,9 +25,24 @@ lkbench pinned to 1:
   fresh process that has imported NumPy and chargelab: its wall time (median
   and quartiles of IMPORT_REPEATS processes) and the number of `scipy`
   modules in `sys.modules` after it;
+- `verify --case nagy-extremal --d 2` with the 1-ball and the skewed
+  halfspaces cone SKEWED_2 in a fresh process (VERIFY_REPEATS processes):
+  the wall time of the process (median and quartiles), its peak resident
+  set size (median), the number of `scipy` modules it loaded and the
+  SHA-256 of its report files, so that both labels' outputs can be compared
+  byte for byte;
+- the first `volume_body_cone` call in a fresh process that has imported
+  chargelab (the box at d = 3 with 2 coordinate faces): its wall time
+  (median and quartiles of IMPORT_REPEATS processes), which holds any
+  import the call makes, and the number of `scipy` modules after it;
 - polytope completion in process (`ConvexBody.polytope`, after one warm-up
   call): the hexagon, the 4-D cross-polytope and the 24-cell by vertices,
   and the cube by facets;
+- μ(K∩C) in process (`volume_body_cone`, after one warm-up call, so that an
+  import made by the first call is not timed): the box and the 1-ball with
+  2 coordinate faces at d = 2..6, the hexagon with SKEWED_2 and the 24-cell
+  with 3 coordinate faces; and `cone_has_interior` on the skewed 3-face cone
+  SKEWED_3;
 - `windows.lattice_window_sums` in process (after one warm-up call) on
   fixed-seed normal values at 24^2, 128^2, 48^3 and 96^3 cells, with the
   0/1 indicator of a Euclidean ball of radius n/3 cells;
@@ -45,6 +60,7 @@ harness.py's.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -71,6 +87,12 @@ WORKLOADS = ["box-hsup", "general-body", "cli-session"]
 COMPLETION_REPEATS = 50
 # cells per axis, dimension, timed calls
 CORRELATION_CASES = [(24, 2, 200), (128, 2, 30), (48, 3, 20), (96, 3, 5)]
+VERIFY_REPEATS = 11
+MU_REPEATS = 20
+SKEWED_2 = [[1, 0.3141], [0.2718, 1]]
+SKEWED_3 = [[1, 0.3141, -0.2], [0.2718, 1, 0.1], [0.05, -0.1, 1]]
+VERIFY_CONFIG = ("body: {kind: pball, p: 1}\n"
+                 f"cone: {{kind: halfspaces, normals: {SKEWED_2}}}\n")
 
 IMPORT_PROBE = """
 import sys, time
@@ -90,6 +112,27 @@ with tempfile.TemporaryDirectory() as tmp:
     t0 = time.perf_counter()
     workloads.WORKLOADS["general-body"].build(1, pathlib.Path(tmp))
     t1 = time.perf_counter()
+print(t1 - t0, sum(1 for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+
+VERIFY_PROBE = """
+import resource, sys
+from chargelab.cli import main
+
+code = main({argv!r})
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+      sum(1 for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+
+FIRST_VOLUME_PROBE = """
+import sys, time
+import numpy as np
+import chargelab
+from chargelab import Cone, ConvexBody, volume_body_cone
+
+t0 = time.perf_counter()
+volume_body_cone(ConvexBody.box(3), Cone.halfspaces(np.eye(3)[:2]))
+t1 = time.perf_counter()
 print(t1 - t0, sum(1 for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
 """
 
@@ -177,24 +220,92 @@ def build_row(src: str) -> dict:
             "scipy_modules": sorted(scipy_modules)}
 
 
+def verify_row(src: str) -> dict:
+    walls, rss, codes, scipy_modules, digests = [], [], set(), set(), set()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cone.yaml"
+        config.write_text(VERIFY_CONFIG)
+        for i in range(VERIFY_REPEATS):
+            out = Path(tmp) / str(i)
+            argv = ["verify", "--case", "nagy-extremal", "--d", "2",
+                    "--config", str(config), "--out", str(out)]
+            code = VERIFY_PROBE.format(argv=argv)
+            proc, (wall,) = timed(lambda: harness.run([sys.executable, "-c", code],
+                                                      _env(src), cwd=tmp))
+            code, peak, n_scipy = proc.stdout.split()
+            walls.append(wall)
+            rss.append(float(peak))
+            codes.add(int(code))
+            scipy_modules.add(int(n_scipy))
+            reports = b"".join((out / f).read_bytes()
+                               for f in ("report.csv", "report.json"))
+            digests.add(hashlib.sha256(reports).hexdigest())
+    return {"case": "cli verify --case nagy-extremal --d 2, 1-ball, skewed halfspaces "
+                    "cone, fresh process", "repeats": VERIFY_REPEATS,
+            **summary(walls, "s", ("q1", "median", "q3")),
+            "peak_rss_mb": statistics.median(rss), "exit_codes": sorted(codes),
+            "scipy_modules": sorted(scipy_modules), "report_sha256": sorted(digests)}
+
+
+def first_volume_row(src: str) -> dict:
+    walls, scipy_modules = [], set()
+    for _ in range(IMPORT_REPEATS):
+        wall, n_scipy = harness.run([sys.executable, "-c", FIRST_VOLUME_PROBE],
+                                    _env(src)).stdout.split()
+        walls.append(float(wall))
+        scipy_modules.add(int(n_scipy))
+    return {"case": "first volume_body_cone call (box d=3, 2 faces), fresh process",
+            "repeats": IMPORT_REPEATS, **summary(walls, "s", ("q1", "median", "q3")),
+            "scipy_modules": sorted(scipy_modules)}
+
+
+def cell_24() -> list:
+    """The 24 vertices +-e_i +- e_j (i < j) of the 24-cell."""
+    E = np.eye(4)
+    return [s * E[i] + t * E[j] for i in range(4) for j in range(i + 1, 4)
+            for s in (1, -1) for t in (1, -1)]
+
+
 def completion_rows() -> list:
     from chargelab import ConvexBody
 
     E = np.eye(4)
-    cell_24 = [s * E[i] + t * E[j] for i in range(4) for j in range(i + 1, 4)
-               for s in (1, -1) for t in (1, -1)]
     cube = [(s * np.eye(3)[i], 1.0) for i in range(3) for s in (1, -1)]
     bodies = {"hexagon by vertices": harness.hexagon,
               "cube by facets": lambda: ConvexBody.polytope(3, facets=cube),
               "4-D cross-polytope by vertices":
                   lambda: ConvexBody.polytope(4, vertices=np.vstack([E, -E])),
-              "24-cell by vertices": lambda: ConvexBody.polytope(4, vertices=cell_24)}
+              "24-cell by vertices": lambda: ConvexBody.polytope(4, vertices=cell_24())}
     rows = []
     for name, build in bodies.items():
         K, times = timed(build, COMPLETION_REPEATS, warmup=True)
         rows.append({"case": f"polytope completion {name}", "repeats": COMPLETION_REPEATS,
                      **summary(times, "ms", ALL_STATS), "vertices": len(K.vertices),
                      "facets": len(K.facet_offsets)})
+    return rows
+
+
+def volume_rows() -> list:
+    from chargelab import Cone, ConvexBody, volume_body_cone
+    from chargelab.geometry import cone_has_interior
+
+    pairs = {**{f"{name} d={d}, 2 faces": (body(d), Cone.halfspaces(np.eye(d)[:2]))
+                for name, body in (("box", ConvexBody.box),
+                                   ("1-ball", lambda d: ConvexBody.pball(d, 1.0)))
+                for d in range(2, 7)},
+             "hexagon, skewed cone": (harness.hexagon(), Cone.halfspaces(SKEWED_2)),
+             "24-cell, 3 faces": (ConvexBody.polytope(4, vertices=cell_24()),
+                                  Cone.halfspaces(np.eye(4)[:3]))}
+    rows = []
+    for name, (K, C) in pairs.items():
+        v, times = timed(lambda: volume_body_cone(K, C), MU_REPEATS, warmup=True)
+        rows.append({"case": f"volume_body_cone {name}", "repeats": MU_REPEATS,
+                     **summary(times, "ms", ALL_STATS), "value": v.value,
+                     "method": v.method})
+    C = Cone.halfspaces(SKEWED_3)
+    inside, times = timed(lambda: cone_has_interior(C), MU_REPEATS, warmup=True)
+    rows.append({"case": "cone_has_interior skewed 3-face cone", "repeats": MU_REPEATS,
+                 **summary(times, "ms", ALL_STATS), "value": inside})
     return rows
 
 
@@ -225,11 +336,11 @@ def fault_row(src: str, workload: str) -> dict:
 def measure(args):
     rows = [import_row(args.src)]
     rows += [cli_row(args.src, argv) for argv in CLI_COMMANDS]
-    rows += [build_row(args.src)]
+    rows += [build_row(args.src), verify_row(args.src), first_volume_row(args.src)]
     rows += [fault_row(args.src, w) for w in WORKLOADS]
     # in process last: a child started later would inherit this process's
     # peak resident set size in its own ru_maxrss
-    rows += [*completion_rows(), *correlation_rows()]
+    rows += [*completion_rows(), *volume_rows(), *correlation_rows()]
     return {"startup": rows}
 
 

@@ -1,16 +1,15 @@
 """Symmetric convex bodies and convex cones.
 
 A body K is an open bounded convex set, symmetric about the origin, given
-either as a polytope (vertices + facets, either completed from the other in
-NumPy by polar duality) or as a p-ball.  It carries the Minkowski gauge
-|x|_K, the dual (polar) norm |x|_{K°}, and the gradient of the gauge.  Cones
-are either orthant products R^m_+ x R^(d-m) or finite halfspace
-intersections.  The volume of K∩C is exact (a closed form for p-ball
-orthants, qhull for polytopes, the box and the 1-ball) except for a
-p-ball with 1 < p < inf and a halfspaces cone, where a lattice count stands
-in.  That count, the cell-center quadrature of the gauge over hK∩C and the
-lattice indicators of windows all read one gauge-and-cone pass over blocks
-of whole first-axis rows of a lattice (_cone_gauges).
+either as a polytope (vertices + facets, either completed from the other by
+polar duality) or as a p-ball.  It carries the Minkowski gauge |x|_K, the
+dual (polar) norm |x|_{K°}, and the gradient of the gauge.  Cones are either
+orthant products R^m_+ x R^(d-m) or finite halfspace intersections.  One
+NumPy vertex walk (_vertices) completes polytopes, tests cone interiors and
+gives the exact volume of K∩C for a polytope, the box or the 1-ball.  Only
+a p-ball (1 < p < inf) with a halfspaces cone takes a lattice count, which
+reads the one gauge-and-cone pass over blocks of whole first-axis rows of a
+lattice (_cone_gauges), as do the gauge quadrature and window indicators.
 """
 
 from __future__ import annotations
@@ -92,8 +91,7 @@ class ConvexBody:
         verts = None if vertices is None else np.asarray(vertices, dtype=float)
         normals = offsets = None
         if facets is not None:
-            normals = np.asarray([f[0] for f in facets], dtype=float)
-            offsets = np.asarray([f[1] for f in facets], dtype=float)
+            normals, offsets = (np.asarray(c, dtype=float) for c in zip(*facets))
             norms = np.linalg.norm(normals, axis=1)
             normals = normals / norms[:, None]
             offsets = offsets / norms
@@ -250,10 +248,7 @@ def _conjugate_exponent(p: float) -> float:
 def _polar_vertices(d: int, P: np.ndarray, what: str) -> np.ndarray:
     """Vertices of {x : (p, x) <= 1 for every row p of P}, which has one iff
     the rows (`what` in errors) span R^d; for P = V, the polar of conv(V),
-    whose vertices w are its facets (w, x) <= 1.  Each solves P_S x = 1 for a
-    nonsingular d-subset S of the rows (walked in blocks of _BLOCK) and meets
-    every row to a relative 1e-9; solutions tight on the same rows are one
-    vertex, listed in the order of its first subset."""
+    whose vertices w are its facets (w, x) <= 1."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] != d or not np.all(np.isfinite(P)):
         raise GeometryError(f"{what} must be a finite array of shape (n, {d})")
@@ -262,18 +257,66 @@ def _polar_vertices(d: int, P: np.ndarray, what: str) -> np.ndarray:
     if len(P) < d or np.linalg.matrix_rank(P) < d:
         raise GeometryError(f"{what} do not span R^{d}: the polytope is "
                             + ("flat" if what == "vertices" else "unbounded"))
-    norms = np.linalg.norm(P, axis=1)
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(len(P)), d))
+    return _vertices(P, np.ones(len(P)))[0]
+
+
+def _vertices(A: np.ndarray, b: np.ndarray):
+    """Vertices of {x : A x <= b}, whose rows span R^d, and the rows each is
+    tight on.  Each solves A_S x = b_S for a nonsingular d-subset S of the
+    rows (walked in blocks of _BLOCK) and meets every row to 1e-9 of max |b|;
+    solutions tight on the same rows are one vertex, in first-subset order."""
+    d, tol = A.shape[1], 1e-9 * np.max(np.abs(b))
+    norms = np.linalg.norm(A, axis=1)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(len(A)), d))
     found = []
     while len(S := np.fromiter(itertools.islice(subsets, _BLOCK * d), np.intp)):
-        A = P[S.reshape(-1, d)]
+        S = S.reshape(-1, d)
+        M = A[S]
         # nonsingular: |det| well above rounding of Hadamard's bound
-        A = A[np.abs(np.linalg.det(A)) > 1e-10 * np.prod(norms[S].reshape(-1, d), axis=1)]
-        X = np.linalg.solve(A, np.ones(A.shape[:2] + (1,)))[..., 0]
-        found.append(X[np.all(X @ P.T <= 1 + 1e-9, axis=1)])
+        keep = np.abs(np.linalg.det(M)) > 1e-10 * np.prod(norms[S], axis=1)
+        X = np.linalg.solve(M[keep], b[S[keep]][..., None])[..., 0]
+        found.append(X[np.all(X @ A.T <= b + tol, axis=1)])
     X = np.concatenate(found)
-    tight = np.packbits(X @ P.T >= 1 - 1e-9, axis=1)
-    return X[np.sort(np.unique(tight, axis=0, return_index=True)[1])]
+    tight = X @ A.T >= b - tol
+    first = np.sort(np.unique(np.packbits(tight, axis=1), axis=0, return_index=True)[1])
+    return X[first], tight[first]
+
+
+def _face(X, tight, face, memo: dict):
+    """(span, k-volume) of the face conv(X[face]) of a polytope whose vertices
+    X are tight on the rows marked in `tight`: span is an orthonormal basis of
+    the directions of its affine hull (singular directions above 1e-12 of the
+    largest), k its rank.  A simplex's volume comes from its edges, any other
+    face's from pyramids at its vertex mean over its facets, the groups of its
+    vertices tight on one row that have rank k - 1."""
+    if (key := face.tobytes()) in memo:  # faces are shared
+        return memo[key]
+    P = X[face]
+    _, sv, Vt = np.linalg.svd(P[1:] - P[0], full_matrices=False)
+    span = Vt[: np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0))]
+    k = len(span)
+    if len(P) == k + 1:  # |det| of the edges in their span, over k!
+        memo[key] = span, abs(np.linalg.det((P[1:] - P[0]) @ span.T)) / math.factorial(k)
+        return memo[key]
+    groups = tight & face[:, None]
+    sizes = groups.sum(axis=0)
+    center, volume = P.mean(axis=0), 0.0
+    candidates = groups[:, (sizes >= k) & (sizes < len(P))].T
+    for sub in {g.tobytes(): g for g in candidates}.values():
+        sub_span, sub_volume = _face(X, tight, sub, memo)
+        if len(sub_span) == k - 1:
+            r = center - X[sub][0]
+            volume += np.linalg.norm(r - sub_span.T @ (sub_span @ r)) * sub_volume / k
+    memo[key] = span, volume
+    return memo[key]
+
+
+def _polytope_volume(A: np.ndarray, b: np.ndarray, cone: np.ndarray) -> float:
+    """Volume of the bounded {x : A x <= b, (x, a) >= 0 for the rows a of
+    cone}; 0.0 when its vertices do not span R^d (an empty interior)."""
+    X, tight = _vertices(np.vstack([A, -cone]), np.r_[b, np.zeros(len(cone))])
+    span, volume = _face(X, tight, np.ones(len(X), dtype=bool), {})
+    return float(volume) if len(span) == A.shape[1] else 0.0
 
 
 # -- cones ----------------------------------------------------------------
@@ -331,7 +374,7 @@ class Cone:
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
-    method: str  # "closed-form", "interval", "qhull" or "grid"
+    method: str  # "closed-form", "polytope" or "grid"
 
 
 # points per block of a lattice walk: whole entries of the first axis up to
@@ -388,98 +431,52 @@ def _lattice_gauges(K: ConvexBody, C: Cone, h: float, axes) -> np.ndarray:
 
 def volume_body_cone(K: ConvexBody, C: Cone) -> VolumeEstimate:
     """Lebesgue measure mu(K∩C), exact wherever K∩C is a p-ball orthant or a
-    polytope.
-
-    A p-ball with an orthant cone has the closed form
-    (2 Gamma(1 + 1/p))^d / Gamma(1 + d/p) / 2^m (2^(d-m) for the box); at
-    d = 1 the body is an interval cut by the cone; a polytope, the box or
-    the 1-ball with any other cone is the qhull volume of the intersection
-    of their halfspaces.  Only a p-ball (1 < p < inf) with a halfspaces cone
-    falls back to counting the cell centers of a 256^d lattice over the
-    bounding box of K.
-    A pair whose intersection has an empty interior raises GeometryError.
-    """
+    polytope: a closed form for a p-ball with an orthant cone, else, for a
+    polytope, the box, the 1-ball or any body at d = 1, the volume of K's
+    polytope pieces cut by the cone rows (x, a) >= 0 (_polytope_volume).
+    Only a p-ball (1 < p < inf, d >= 2) with a halfspaces cone falls back to
+    counting the cell centers of a 256^d lattice over the bounding box of K.
+    An empty interior of K∩C raises GeometryError."""
     if K.d != C.d:
         raise GeometryError("body and cone dimensions differ")
     d = K.d
     if K.kind == "pball" and C.kind == "orthant":
         g = (2.0 * math.gamma(1.0 + 1.0 / K.p)) ** d / math.gamma(1.0 + d / K.p)
         return VolumeEstimate(g / 2.0**C.m, "closed-form")
-    normals = C.normals if C.kind == "halfspaces" else np.eye(d)[: C.m]
-    if d == 1:
-        r = float(K.bounding_radii()[0])
-        lo = 0.0 if np.any(normals > 0) else -r
-        hi = 0.0 if np.any(normals < 0) else r
-        return VolumeEstimate(_nonempty(hi - lo), "interval")
-    if K.kind == "polytope" or K.is_box or K.p == 1:
-        return VolumeEstimate(_qhull_volume(K, normals), "qhull")
-    radii, n = K.bounding_radii(), 256
-    count = sum(int(np.count_nonzero((g < 1.0) & cone)) for _, g, cone
-                in _cone_gauges(K, C, [-r + (np.arange(n) + 0.5) * (2 * r / n)
-                                       for r in radii]))
-    return VolumeEstimate(_nonempty(count * float(np.prod(2 * radii / n))), "grid")
-
-
-_EMPTY = "degenerate body/cone pair: K∩C has empty interior"
-
-
-def _nonempty(vol: float) -> float:
-    if vol <= 0:
-        raise GeometryError(_EMPTY)
-    return vol
-
-
-def _qhull_volume(K: ConvexBody, cone_normals: np.ndarray) -> float:
-    """Volume of the polytope K (or the box, or the 1-ball) cut by the
-    halfspaces (x, a) > 0, through qhull at the Chebyshev center of the
-    intersection."""
-    from scipy.spatial import ConvexHull, HalfspaceIntersection
-
-    d = K.d
-    if K.is_box:
-        facet_normals = np.vstack([np.eye(d), -np.eye(d)])
-        offsets = np.ones(2 * d)
-    elif K.kind == "pball":
-        # the 1-ball: the 2^d facets (s, x) < 1, s in {-1, 1}^d
-        bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
-        facet_normals = 1.0 - 2.0 * bits
-        offsets = np.ones(2**d)
+    cone = C.normals if C.kind == "halfspaces" else np.eye(d)[: C.m]
+    if K.kind == "polytope" or K.p in (1, math.inf) or d == 1:
+        vol, method = math.fsum(_polytope_volume(*piece, cone)
+                                for piece in _polytope_pieces(K)), "polytope"
     else:
-        facet_normals, offsets = K.facet_normals, K.facet_offsets
-    # K∩C = {x : A x <= b}; the cone rows (x, a) >= 0 have b = 0
-    A = np.vstack([facet_normals, -cone_normals])
-    b = np.r_[offsets, np.zeros(len(cone_normals))]
-    center, radius = _chebyshev_center(A, b)
-    # a largest inscribed ball of rounding size: no interior point for qhull
-    if radius <= 1e-12 * float(np.max(offsets)):
-        raise GeometryError(_EMPTY)
-    hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), center)
-    return float(ConvexHull(hs.intersections).volume)
+        radii, n = K.bounding_radii(), 256
+        count = sum(int(np.count_nonzero((g < 1.0) & inside)) for _, g, inside
+                    in _cone_gauges(K, C, [-r + (np.arange(n) + 0.5) * (2 * r / n)
+                                           for r in radii]))
+        vol, method = count * float(np.prod(2 * radii / n)), "grid"
+    if vol <= 0:
+        raise GeometryError("degenerate body/cone pair: K∩C has empty interior")
+    return VolumeEstimate(vol, method)
 
 
-def _chebyshev_center(A: np.ndarray, b: np.ndarray, max_radius=None):
-    """Center and radius of a largest ball inside {x : A x <= b}, the
-    radius capped at max_radius (None: uncapped); radius 0.0 when the
-    linear program fails."""
-    from scipy.optimize import linprog
-
-    d = A.shape[1]
-    # max y subject to A x + y |A_i| <= b
-    lp = linprog(np.r_[np.zeros(d), -1.0],
-                 A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]), b_ub=b,
-                 bounds=[(None, None)] * d + [(0.0, max_radius)])
-    if not lp.success:
-        return None, 0.0
-    return lp.x[:-1], float(lp.x[-1])
+def _polytope_pieces(K: ConvexBody) -> list:
+    """(A, b) of polytopes {x : A x <= b} that tile the closed polytope, box,
+    1-ball or interval K: its facets, but the 1-ball's 2^d orthant simplices
+    {s_i x_i >= 0, (s, x) <= 1}, as a walk over its 2^d facets would visit
+    C(2^d + k, d) subsets."""
+    d, eye = K.d, np.eye(K.d)
+    if K.kind == "polytope":
+        return [(K.facet_normals, K.facet_offsets)]
+    if K.p == math.inf or d == 1:
+        return [(np.vstack([eye, -eye]), np.ones(2 * d))]
+    return [(np.vstack([-np.diag(s), s]), np.r_[np.zeros(d), 1.0])
+            for s in itertools.product((1.0, -1.0), repeat=d)]
 
 
 def cone_has_interior(C: Cone) -> bool:
-    """Whether the open cone C is nonempty: a ball of radius 1 fits in the
-    closed cone (scaling any inner ball up)."""
-    if C.kind == "orthant":
-        return True
-    _, radius = _chebyshev_center(-C.normals, np.zeros(len(C.normals)), 1.0)
-    return radius > 0.5
+    """Whether the open cone C is nonempty: whether the closed cone cut by the
+    cube |x|_inf <= 1 has a volume."""
+    return C.kind == "orthant" or _polytope_volume(
+        *_polytope_pieces(ConvexBody.box(C.d))[0], C.normals) > 0
 
 
 def layer_cake_closed_form(K: ConvexBody, C: Cone, h: float, mu_KC: float) -> float:

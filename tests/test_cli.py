@@ -120,7 +120,7 @@ class TestVerifyCommand:
 
     def test_nagy_extremal_l1_ball_skewed_cone(self, tmp_path):
         # the diamond's edges pass through lattice centers, so a lattice
-        # count reads mu(K∩C) low; qhull gives it exactly
+        # count reads mu(K∩C) low; the vertex walk gives it exactly
         cfg = tmp_path / "c.yaml"
         cfg.write_text("body: {kind: pball, p: 1}\n"
                        "cone: {kind: halfspaces, "

@@ -272,6 +272,18 @@ class TestPolytopeCompletion:
         with pytest.raises(GeometryError, match="normals do not span .* unbounded"):
             ConvexBody.polytope(len(normals[0]), facets=[(n, 1.0) for n in normals])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_facets_from_an_iterator(self, d):
+        # facets are read once, so an iterator builds the body a list builds
+        hexagon = ConvexBody.polytope(2, vertices=HEX_VERTS)
+        pairs = (list(zip(hexagon.facet_normals, hexagon.facet_offsets)) if d == 2
+                 else CUBE_FACETS)
+        Kl = ConvexBody.polytope(d, facets=pairs)
+        Ki = ConvexBody.polytope(d, facets=iter(pairs))
+        for a, b in zip(facet_rows(Ki), facet_rows(Kl)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(Ki.vertices, Kl.vertices)
+
     def test_non_positive_offset_rejected(self):
         facets = [([1, 0], 1.0), ([-1, 0], 1.0), ([0, 1], 0.0), ([0, -1], 1.0)]
         with pytest.raises(GeometryError, match="offsets positive"):
@@ -336,22 +348,23 @@ class TestVolume:
                          (Cone.orthant(2, 2), 4),
                          (Cone.halfspaces([[1, 0], [0, 1]]), 4)]:
             v = volume_body_cone(K, C)
-            assert v.method == "qhull"
+            assert v.method == "polytope"
             assert v.value == pytest.approx(area / share, rel=1e-12, abs=0)
 
-    def test_cube_with_halfspaces_cone(self):
-        C = Cone.halfspaces([[1, 0, 0], [0, 1, 0]])
-        v = volume_body_cone(ConvexBody.box(3), C)
-        assert v.method == "qhull"
-        assert v.value == pytest.approx(2.0, rel=1e-12, abs=0)
+    @pytest.mark.parametrize("d", [3, 5, 6])
+    def test_cube_with_halfspaces_cone(self, d):
+        C = Cone.halfspaces(np.eye(d)[:2])
+        v = volume_body_cone(ConvexBody.box(d), C)
+        assert v.method == "polytope"
+        assert v.value == pytest.approx(2.0**d / 4, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_l1_ball_with_halfspaces_cone(self, d):
         # the cross-polytope 2^d/d! cut by k coordinate halfspaces
         for k in range(1, d + 1):
             v = volume_body_cone(ConvexBody.pball(d, 1.0),
                                  Cone.halfspaces(np.eye(d)[:k]))
-            assert v.method == "qhull"
+            assert v.method == "polytope"
             assert v.value == pytest.approx(2**d / (math.factorial(d) * 2**k),
                                             rel=1e-12, abs=0)
 
@@ -360,7 +373,7 @@ class TestVolume:
         for C, want in [(Cone.orthant(1, 0), 1.4), (Cone.orthant(1, 1), 0.7),
                         (Cone.halfspaces([[-1.0]]), 0.7)]:
             v = volume_body_cone(K, C)
-            assert v.method == "interval"
+            assert v.method == "polytope"
             assert v.value == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_grid_fallback_matches_exact_quadrant(self):
@@ -379,6 +392,71 @@ class TestVolume:
     def test_empty_interior_rejected(self, K, normals):
         with pytest.raises(GeometryError, match="empty interior"):
             volume_body_cone(K, Cone.halfspaces(normals))
+
+
+def qhull_volume(A, b):
+    """Reference volume of the bounded {x : A x <= b} from qhull, started at
+    the center of a largest inscribed ball (linprog)."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    d = A.shape[1]
+    lp = linprog(np.r_[np.zeros(d), -1.0],
+                 A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]), b_ub=b,
+                 bounds=[(None, None)] * d + [(0.0, None)])
+    assert lp.success and lp.x[-1] > 1e-6
+    hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), lp.x[:-1])
+    return ConvexHull(hs.intersections).volume
+
+
+def facet_system(K):
+    """(A, b) with K = {x : A x < b}: its facets, or those of the box and the
+    1-ball."""
+    if K.kind == "polytope":
+        return K.facet_normals, K.facet_offsets
+    if K.is_box:
+        return np.vstack([np.eye(K.d), -np.eye(K.d)]), np.ones(2 * K.d)
+    return np.array(list(itertools.product((1.0, -1.0), repeat=K.d))), np.ones(2**K.d)
+
+
+def inner_cone(d, k, seed):
+    """k fixed-seed normal halfspace normals tilted to hold a random unit
+    vector u inside: (a_i, u) lies in [0.2, 1]."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    G = rng.normal(size=(k, d))
+    return G - np.outer(G @ u - rng.uniform(0.2, 1.0, size=k), u)
+
+
+VOLUME_BODIES = {**{name: (lambda d=d, V=V: ConvexBody.polytope(d, vertices=V))
+                    for name, (d, V) in BY_VERTICES.items()},
+                 "cube": lambda: ConvexBody.polytope(3, facets=CUBE_FACETS),
+                 **{f"box-d{d}": (lambda d=d: ConvexBody.box(d)) for d in (2, 3, 4)},
+                 **{f"l1-ball-d{d}": (lambda d=d: ConvexBody.pball(d, 1.0))
+                    for d in (2, 3, 4)}}
+
+
+class TestVolumeAgainstQhull:
+    """mu(K∩C) from the vertex walk against qhull on the same halfspaces."""
+
+    @pytest.mark.parametrize("name", VOLUME_BODIES)
+    def test_matches_qhull(self, name):
+        K = VOLUME_BODIES[name]()
+        d = K.d
+        # orthants m = 1..d (as halfspaces for a p-ball, whose orthants have
+        # closed forms) and a random pointed cone with an interior
+        cones = [Cone.orthant(d, m) if K.kind == "polytope"
+                 else Cone.halfspaces(np.eye(d)[:m]) for m in range(1, d + 1)]
+        cones.append(Cone.halfspaces(inner_cone(d, d, 10 + d)))
+        A, b = facet_system(K)
+        for C in cones:
+            normals = C.normals if C.kind == "halfspaces" else np.eye(d)[: C.m]
+            want = qhull_volume(np.vstack([A, -normals]),
+                                np.r_[b, np.zeros(len(normals))])
+            v = volume_body_cone(K, C)
+            assert v.method == "polytope"
+            assert v.value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestLayerCake:

@@ -1,10 +1,10 @@
-"""chargelab's import path, its box/orthant commands and its general-body
-path load no SciPy.
+"""chargelab runs on NumPy and PyYAML: no command, config check or volume
+loads a SciPy module.
 
-SciPy is imported inside the functions that need it (qhull for the volume
-μ(K∩C) of a polytope or with a halfspaces cone, linprog for cone interiors
-and Chebyshev centers), so that every process does not pay its import
-time.  Polytopes are completed and windows correlated in NumPy."""
+Polytopes are completed, μ(K∩C) is computed for polytope pairs and cone
+interiors are tested by one NumPy vertex walk, and windows are correlated
+with NumPy's FFT.  Each probe runs in a fresh process and lists the `scipy`
+modules in `sys.modules` after each step."""
 
 import json
 import subprocess
@@ -61,6 +61,35 @@ print(json.dumps(seen))
 """
 
 
+# a halfspaces cone through the config check, verify with a halfspaces cone
+# on the 1-ball and on the hexagon, and the volume of a 4-D polytope pair
+CONE_PROBE = """
+import math
+import numpy as np
+from chargelab import Cone, ConvexBody, volume_body_cone
+from chargelab.config import cone_from_config, validate
+
+skewed = {{"kind": "halfspaces", "normals": [[1, 0.3141], [0.2718, 1]]}}
+cfg = validate("verify", {{"case": "nagy-extremal", "cone": skewed}})
+seen["cone_from_config"] = [cone_from_config(2, cfg["cone"]).kind] + scipy_modules()
+hexagon = [[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)]
+for name, body, cone in (("l1-ball", {{"kind": "pball", "p": 1}}, skewed),
+                         ("hexagon", {{"kind": "polytope", "vertices": hexagon}},
+                          {{"kind": "halfspaces", "normals": [[1, 0], [0, 1]]}})):
+    with open({out!r} + "/" + name + ".json", "w") as fh:
+        json.dump({{"body": body, "cone": cone}}, fh)
+    argv = ["verify", "--case", "nagy-extremal", "--d", "2",
+            "--config", {out!r} + "/" + name + ".json", "--out", {out!r} + "/" + name]
+    seen["verify " + name] = [main(argv)] + scipy_modules()
+E = np.eye(4)
+cell_24 = [s * E[i] + t * E[j] for i in range(4) for j in range(i + 1, 4)
+           for s in (1, -1) for t in (1, -1)]
+v = volume_body_cone(ConvexBody.polytope(4, vertices=cell_24), Cone.halfspaces(E[:3]))
+seen["volume_body_cone 24-cell"] = [round(v.value, 12)] + scipy_modules()
+print(json.dumps(seen))
+"""
+
+
 def probe(code, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=tmp_path)
@@ -83,3 +112,12 @@ def test_no_scipy_on_the_general_body_path(tmp_path):
                     "seminorm_Kh ball": [True],
                     "seminorm_Kh hexagon": [True],
                     "verify --case nagy-extremal --d 2": [0]}
+
+
+def test_no_scipy_for_halfspaces_cones_or_polytope_volumes(tmp_path):
+    seen = probe((HEADER + CONE_PROBE).format(src=SRC, out=str(tmp_path)), tmp_path)
+    assert seen == {"import chargelab": [],
+                    "cone_from_config": ["halfspaces"],
+                    "verify l1-ball": [0],
+                    "verify hexagon": [0],
+                    "volume_body_cone 24-cell": [1.0]}
