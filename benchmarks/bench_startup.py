@@ -208,15 +208,16 @@ def cli_row(src: str, argv: list) -> dict:
             "exit_codes": sorted(codes)}
 
 
-def build_row(src: str) -> dict:
-    code = BUILD_PROBE.format(lkbench=str(ROOT / "lkbench"))
+def probe_row(src: str, case: str, code: str) -> dict:
+    """The wall time (median and quartiles of IMPORT_REPEATS fresh processes)
+    and `scipy` module count that the probe `code` prints."""
     walls, scipy_modules = [], set()
     for _ in range(IMPORT_REPEATS):
         wall, n_scipy = harness.run([sys.executable, "-c", code], _env(src)).stdout.split()
         walls.append(float(wall))
         scipy_modules.add(int(n_scipy))
-    return {"case": "lkbench general-body build, fresh process",
-            "repeats": IMPORT_REPEATS, **summary(walls, "s", ("q1", "median", "q3")),
+    return {"case": case, "repeats": IMPORT_REPEATS,
+            **summary(walls, "s", ("q1", "median", "q3")),
             "scipy_modules": sorted(scipy_modules)}
 
 
@@ -245,18 +246,6 @@ def verify_row(src: str) -> dict:
             **summary(walls, "s", ("q1", "median", "q3")),
             "peak_rss_mb": statistics.median(rss), "exit_codes": sorted(codes),
             "scipy_modules": sorted(scipy_modules), "report_sha256": sorted(digests)}
-
-
-def first_volume_row(src: str) -> dict:
-    walls, scipy_modules = [], set()
-    for _ in range(IMPORT_REPEATS):
-        wall, n_scipy = harness.run([sys.executable, "-c", FIRST_VOLUME_PROBE],
-                                    _env(src)).stdout.split()
-        walls.append(float(wall))
-        scipy_modules.add(int(n_scipy))
-    return {"case": "first volume_body_cone call (box d=3, 2 faces), fresh process",
-            "repeats": IMPORT_REPEATS, **summary(walls, "s", ("q1", "median", "q3")),
-            "scipy_modules": sorted(scipy_modules)}
 
 
 def cell_24() -> list:
@@ -336,7 +325,11 @@ def fault_row(src: str, workload: str) -> dict:
 def measure(args):
     rows = [import_row(args.src)]
     rows += [cli_row(args.src, argv) for argv in CLI_COMMANDS]
-    rows += [build_row(args.src), verify_row(args.src), first_volume_row(args.src)]
+    rows += [probe_row(args.src, "lkbench general-body build, fresh process",
+                       BUILD_PROBE.format(lkbench=str(ROOT / "lkbench"))),
+             verify_row(args.src),
+             probe_row(args.src, "first volume_body_cone call (box d=3, 2 faces), "
+                       "fresh process", FIRST_VOLUME_PROBE)]
     rows += [fault_row(args.src, w) for w in WORKLOADS]
     # in process last: a child started later would inherit this process's
     # peak resident set size in its own ru_maxrss
