@@ -1,5 +1,5 @@
-"""Time seminorm_K, the sup over h of the fixed-h seminorm, and record
-before/after figures.
+"""Time seminorm_K, the sup over h of the fixed-h seminorm, and the report
+pair that reads it, and record before/after figures.
 
 Run from the repository root:
 
@@ -17,12 +17,17 @@ h_max = 2.5 h as the multiplicative report passes it:
   charges, with the largest `gap` the result reports;
 - the 3-ball with the cone R^3 on 128^3 cells (correlation path), once
   with include_h = [h] and once without it;
+- lkbench `box-hsup`'s operation: the additive and the multiplicative
+  report (include_h = [h]) on one fresh charge of that shape, with the
+  points passed to the gradient callback and the `windows.box_window_sums`
+  calls of one operation, and both reports checked for equality;
 - `verify --case extremal-charge --d 3` end to end, in a fresh process.
 
-Each row counts the `seminorm_Kh` sweeps and checks the value: the extremal
-values against the sweep at h_max (a charge that is >= 0 has its sup
-there) and within 5e-3 (midpoint quadrature on 48^3 cells) of the closed
-form h^(d+1) mu / (d+1).
+Each seminorm_K row times a fresh charge per call (its prefix table built
+beforehand), as a charge memoizes its sweeps, counts the `seminorm_Kh`
+sweeps and checks the value: the extremal values against the sweep at
+h_max (a charge that is >= 0 has its sup there) and within 5e-3 (midpoint
+quadrature on 48^3 cells) of the closed form h^(d+1) mu / (d+1).
 
 The flags and the file layout (BENCH_seminorm.json by default) are
 harness.py's.
@@ -37,9 +42,10 @@ import tempfile
 import numpy as np
 
 import harness
-from harness import Calls, summary, timed
+from harness import ALL_STATS, Calls, summary, timed
 
 BOX_REPEATS = 5
+OP_REPEATS = 20
 # body, d, m, h, cells per axis, grid margin over h
 BOX_HSUP = ("box", 3, 1, 1.0, 64, 0.25)
 BALL_128 = ("ball", 3, 0, 1.0, 128, 0.25)
@@ -69,14 +75,17 @@ def check_extremal(label, nu, K, C, h, res):
 
 
 def extremal_row(case, include, repeats):
-    from chargelab import charges
+    from chargelab import Charge, charges
 
     body, d, m, h, n, margin = case
     nu, K, C = extremal(*case)
-    nu.prefix()
+    fresh = [Charge(nu.density, C) for _ in range(repeats)]
+    for c in fresh:
+        c.prefix()
+    calls = iter(fresh)
     with Calls(charges, "seminorm_Kh") as sweeps:
         res, times = timed(lambda: charges.seminorm_K(
-            nu, K, 2.5 * h, include_h=[h] if include else ()), repeats)
+            next(calls), K, 2.5 * h, include_h=[h] if include else ()), repeats)
     check_extremal(body, nu, K, C, h, res)
     return {"case": f"seminorm_K {body} d={d} m={m} n={n}"
                     + (" include_h=[h]" if include else ""),
@@ -126,6 +135,36 @@ def criterion05_rows():
     return rows
 
 
+def box_hsup_op_row(repeats):
+    from chargelab import (Charge, lk_additive_charge, lk_multiplicative_charge,
+                           windows)
+
+    body, d, m, h, n, margin = BOX_HSUP
+    nu, K, C = extremal(*BOX_HSUP)
+    density = nu.density
+
+    def op():
+        nu = Charge(density, C)
+        return (lk_additive_charge(nu, K, C, h),
+                lk_multiplicative_charge(nu, K, C, h_max=2.5 * h, include_h=[h]))
+
+    # one counted operation, which is also the warm-up
+    points, grad_fn = [], density.grad_fn
+    density.grad_fn = lambda pts: points.append(len(pts)) or grad_fn(pts)
+    with Calls(windows, "box_window_sums") as kernel:
+        reports = op()
+    density.grad_fn = grad_fn
+    for rep in reports:
+        if not rep.equality:
+            raise SystemExit(f"box-hsup operation: {rep.case} slack {rep.slack!r}")
+    _, times = timed(op, repeats)
+    return {"case": f"box-hsup operation: additive + multiplicative, {body} "
+                    f"d={d} m={m} n={n} h={h}",
+            "repeats": repeats, **summary(times, "ms", ALL_STATS),
+            "grad_callback_points": sum(points),
+            "box_window_sums_calls": kernel.calls}
+
+
 def verify_row(src):
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as out:
@@ -141,6 +180,7 @@ def measure(args):
             extremal_row(BOX_HSUP, False, BOX_REPEATS)]
     rows += criterion05_rows()
     rows += [extremal_row(BALL_128, True, 1), extremal_row(BALL_128, False, 1)]
+    rows.append(box_hsup_op_row(OP_REPEATS))
     rows.append(verify_row(args.src))
     return {"seminorm_K": rows}
 

@@ -16,6 +16,13 @@ inside.  On top of it sit the two seminorms: the sup over translates at
 fixed h, and its supremum over all h > 0.  The windows gain or lose a cell
 center only at the plateau edges (Charge.plateau_edges), where the fixed-h
 seminorm can step.
+
+A Charge caches what its density determines: the prefix table, the support
+box, and a memo (Charge.memo) of small results that several reports on one
+charge read: seminorm_Kh per body and h, and, for the report builders, the
+density's sup and its polar-gradient sup per body and cone.  Bodies and
+cones key the memo by identity.  Every cache assumes that the density does
+not change once the charge is built.
 """
 
 from __future__ import annotations
@@ -75,7 +82,17 @@ def box_path(K: ConvexBody, C: Cone) -> bool:
 
 
 class Charge:
-    """Density + cone, with cached prefix table and support box."""
+    """Density + cone, with cached prefix table, support box and memo.
+
+    The memo (Charge.memo) computes each keyed result once per charge, so
+    the additive and the multiplicative report on one charge share one
+    gradient sweep and one window sweep at h.  It holds small results only
+    (sups, SeminormResult), never a grid-sized array.  Bodies and cones key
+    it by identity, and each entry keeps its key objects, so that no id in
+    a key is reused while the charge lives; an equal but distinct body
+    recomputes.  Like the prefix table, the memo assumes that the density
+    does not change after the charge is built.
+    """
 
     def __init__(self, density: GridField, cone: Cone, check_support: bool = True):
         if density.grid.d != cone.d:
@@ -88,6 +105,7 @@ class Charge:
         self.density = density
         self.cone = cone
         self._prefix = None
+        self._memo = {}
         self._support_lo, self._support_hi = self._support_box()
         if check_support:
             self._assert_margin()
@@ -142,6 +160,16 @@ class Charge:
         if self._prefix is None:
             self._prefix = windows.build_prefix(self.density.values)
         return self._prefix
+
+    def memo(self, name: str, objs: tuple, compute, h: float | None = None):
+        """compute(), once per charge for each name, identity of every
+        object in objs and value of h; compute must depend on nothing else
+        that changes.  Every hit returns the stored object itself, which
+        callers must not modify."""
+        key = (name, tuple(map(id, objs)), h)
+        if key not in self._memo:
+            self._memo[key] = (objs, compute())
+        return self._memo[key][1]
 
     # -- window geometry ---------------------------------------------------
 
@@ -323,10 +351,16 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
 
     Candidate centers are all grid cell centers, whose window values come
     in one batch (Charge.window_values_all), plus the origin, where the
-    extremal families attain the sup.
+    extremal families attain the sup.  The result is memoized on the charge
+    per K (by identity) and h.
     """
     if h <= 0:
         raise GeometryError("h must be positive")
+    return nu.memo("seminorm_Kh", (K,), lambda: _seminorm_sweep(nu, K, h),
+                   float(h))
+
+
+def _seminorm_sweep(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
     g = nu.density.grid
     S = np.abs(nu.window_values_all(K, h))
     i = int(np.argmax(S))

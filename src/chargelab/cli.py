@@ -254,18 +254,33 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
 # -- recover ---------------------------------------------------------------
 
 
+def _typical_radius(h: float) -> float:
+    """Half-width of the typical case's grid at window radius h: it holds
+    the smooth truth, whose support does not depend on h, and a window of
+    radius h."""
+    return max(2.0, 1.5 * h)
+
+
 def cmd_recover(cfg: dict, outdir: Path) -> int:
     d, m, n = cfg["d"], cfg["m"], cfg["grid"]
     K = ConvexBody.box(d)
     C = Cone.orthant(d, m)
     setting = ProblemSetting.charge(K, C)
+    deltas = [float(delta) for delta in cfg["deltas"]]
+    hs = [optimal_h_for_delta(setting, delta) for delta in deltas]
+    for delta, h in zip(deltas, hs):
+        sp = float(np.min(GridSpec.for_cone(d, m, _typical_radius(h), n).spacing))
+        if h < sp:
+            raise ConfigError(
+                f"recover: delta {delta:g} has optimal h {h:.3g}, below the "
+                f"typical-case grid's cell spacing {sp:.3g}; use a larger "
+                f"--grid (now {n})")
     rng = np.random.default_rng(cfg["seed"])
+    truths = {}  # the typical case's smooth truth per grid radius
     rows = []
     failures = []
     last_dump = None
-    for delta in cfg["deltas"]:
-        delta = float(delta)
-        h = optimal_h_for_delta(setting, delta)
+    for delta, h in zip(deltas, hs):
         om = omega(setting, delta)
         # worst case: extremal truth, perturbed along the extremal direction
         # (the noisy data collapses to the zero charge)
@@ -275,10 +290,13 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
         res = recover_derivative(noisy, delta, setting)
         err_worst = recovery_error(truth, noisy, res)
         # typical case: scaled smooth truth plus filtered noise
-        grid2 = GridSpec.for_cone(d, m, max(2.0, 1.5 * h), n)
-        base = make_density("gaussian", grid2, width=0.8)
-        gsup = grad_sup_polar(base, K, C)
-        truth2 = base.scaled(0.8 / gsup)
+        r = _typical_radius(h)
+        if r not in truths:
+            base = make_density("gaussian", GridSpec.for_cone(d, m, r, n),
+                                width=0.8)
+            truths[r] = base.scaled(0.8 / grad_sup_polar(base, K, C))
+        truth2 = truths[r]
+        grid2 = truth2.grid
         pert = random_separable_field(rng, grid2)
         pnorm = seminorm_K(
             Charge(pert, C), K, 2.0 * float(np.max(grid2.hi - grid2.lo))

@@ -57,16 +57,27 @@ __all__ = [
 
 
 def _density_sup(nu: Charge) -> float:
-    return nu.density.sup_abs("value", cone=nu.cone).value
+    return nu.memo("density_sup", (), lambda: nu.density.sup_abs(
+        "value", cone=nu.cone).value)
+
+
+def _grad_sup(nu: Charge, K: ConvexBody, C: Cone) -> float:
+    return nu.memo("grad_sup_polar", (K, C),
+                   lambda: grad_sup_polar(nu.density, K, C))
 
 
 def lk_additive_charge(nu: Charge, K: ConvexBody, C: Cone, h: float,
                        tol: float = 1e-3) -> InequalityReport:
-    """Additive bound on sup|density|, including the operator chain link."""
+    """Additive bound on sup|density|, including the operator chain link.
+
+    sup|density|, the polar-gradient sup and seminorm_Kh at h are read
+    through the charge's memo (Charge.memo), so a multiplicative report on
+    the same charge, K and C (with h in include_h) does not sweep them
+    again."""
     p = SteklovParams.create(K, C, h)
     d = K.d
     lhs = _density_sup(nu)
-    gsup = grad_sup_polar(nu.density, K, C)
+    gsup = _grad_sup(nu, K, C)
     sem = seminorm_Kh(nu, K, h)
     dev = deviation_sup(nu, p)
     middle = dev.value + steklov_norm(p) * sem.value
@@ -107,12 +118,17 @@ def default_h_max(nu: Charge, K: ConvexBody) -> float:
 def lk_multiplicative_charge(nu: Charge, K: ConvexBody, C: Cone,
                              h_max: float | None = None,
                              include_h=(), tol: float = 1e-3) -> InequalityReport:
-    """Multiplicative bound through the h-sup seminorm."""
+    """Multiplicative bound through the h-sup seminorm.
+
+    sup|density| and the polar-gradient sup are read through the charge's
+    memo, as is every seminorm_Kh sweep of seminorm_K: after
+    lk_additive_charge at h on the same charge, K and C, include_h=[h]
+    finds its sweep at h there."""
     d = K.d
     p1 = SteklovParams.create(K, C, 1.0)
     mu = p1.mu
     lhs = _density_sup(nu)
-    gsup = grad_sup_polar(nu.density, K, C)
+    gsup = _grad_sup(nu, K, C)
     semK = seminorm_K(nu, K, h_max or default_h_max(nu, K), include_h=include_h)
     rhs = (
         ((d + 1) / mu) ** (1.0 / (d + 1))

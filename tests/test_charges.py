@@ -584,6 +584,45 @@ class TestSeminormKSigned:
             assert seminorm_Kh(nu, K, h).value <= res.value + res.gap + 1e-12, h
 
 
+class TestSeminormMemo:
+    """seminorm_Kh is memoized on the charge per body (by identity) and h."""
+
+    def test_memo_follows_h_and_the_body(self):
+        d, m, h = 2, 1, 0.9
+        K, C, grid = box_setting(d, m, h, 24)
+        dens = extremal_density(K, C, h, grid)
+        nu = Charge(dens, C)
+        # bodies made afresh for each call: an id that a freed body leaves
+        # behind must not bring back its entry
+        bodies = (lambda: ConvexBody.box(d), lambda: ConvexBody.pball(d, 2.0),
+                  lambda: ConvexBody.box(d))
+        seen = set()
+        for make_K in bodies:
+            for r in (h / 2, h, 2 * h, h):
+                got = seminorm_Kh(nu, make_K(), r)
+                want = seminorm_Kh(Charge(dens, C), make_K(), r)
+                assert got.value == want.value
+                assert np.array_equal(got.argmax, want.argmax)
+                assert got.truncated == want.truncated
+                seen.add(got.value)
+        # at 2h both windows hold the whole support; below, each body and
+        # radius has its own value
+        assert len(seen) >= 5
+
+    def test_repeated_call_is_not_swept_again(self, monkeypatch):
+        K, C, grid = box_setting(2, 0, 0.9, 24)
+        nu = extremal_charge(K, C, 0.9, grid)
+        calls = []
+        kernel = windows.box_window_sums
+        monkeypatch.setattr(windows, "box_window_sums",
+                            lambda prefix, i0s, i1s: calls.append(1)
+                            or kernel(prefix, i0s, i1s))
+        first = seminorm_Kh(nu, K, 0.9)
+        assert seminorm_Kh(nu, K, 0.9) is first
+        assert seminorm_Kh(nu, ConvexBody.box(2), 0.9).value == first.value
+        assert len(calls) == 2  # the second box is another key
+
+
 class TestZeroCharge:
     def test_zero_charge_seminorms(self):
         grid = GridSpec.for_cone(1, 0, 1.0, 32, margin=0.3)

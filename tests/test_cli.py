@@ -14,6 +14,28 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# recovery.csv rows (seed 0) of `recover --deltas <key[0]> --d <key[1]>`, at
+# grid 256 for d = 1 and grid 64 for d = 2
+RECOVER_ROWS = {
+    ("0.1,1.0", 1): [
+        "0.10000000000000001,0.31622776601683794,0.31622776601683794,"
+        "0.31622776601683794,0.11097120901094149",
+        "1,1,1,1,0.48428013010361021"],
+    ("0.1,4.0,1.0", 1): [
+        "0.10000000000000001,0.31622776601683794,0.31622776601683794,"
+        "0.31622776601683794,0.11097120901094149",
+        "4,2,2,2,1.0075457434508412",
+        "1,1,1,1,0.54427948742901422"],
+    ("0.1,4.0,1.0", 2): [
+        "0.10000000000000001,0.42171633265087466,0.42171633265087466,"
+        "0.42171633265087466,0.064533017189079722",
+        "4,1.4422495703074083,1.4422495703074083,1.4422495703074083,"
+        "0.43051025833319595",
+        "1,0.90856029641606983,0.90856029641606983,0.90856029641606983,"
+        "0.28806876769144701"],
+}
+
+
 class TestReports:
     def rep(self, lhs=1.0, rhs=1.0005, middle=None, tol=1e-3):
         return InequalityReport(
@@ -224,6 +246,9 @@ class TestVerifyCommand:
     ["recover", "--deltas", "0"], ["recover", "--grid", 1],
     # --deltas that is not a comma-separated list of numbers
     ["recover", "--deltas", "abc"], ["recover", "--deltas", "0.1,,1"],
+    # deltas whose optimal h (1e-150, 1e-3) is below the typical-case grid's
+    # cell spacing (0.0078 at the default grid 512)
+    ["recover", "--deltas", "1e-300"], ["recover", "--deltas", "1e-6"],
     ["sharpness-search", "--m", 0], ["sharpness-search", "--h", -1],
     ["sharpness-search", "--d", 2, "--m", 3],
     ["sharpness-search", "--budget", -1],
@@ -241,12 +266,33 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, argv):
                           ("gaussian-charge", 9), ("zero", 5))
       for d in (1, 2, 3)),
     *((["stechkin-curve", "--d", d], 5) for d in (1, 2)),
-    *((["recover", "--d", d], 10) for d in (1, 2)),
+    # delta 1 (h = 1 and 0.91) is resolved at grid 10; the default deltas
+    # are not (test_recover_unresolved_delta_exit_2)
+    *((["recover", "--d", d, "--deltas", "1.0"], 10) for d in (1, 2)),
 ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, list) else str(v))
 def test_grid_floor(tmp_path, capsys, argv, floor):
     assert run(argv + ["--grid", floor - 1, "--out", tmp_path]) == 2
     assert f"at least {floor}" in capsys.readouterr().err
     assert run(argv + ["--grid", floor, "--out", tmp_path]) in (0, 1)
+
+
+@pytest.mark.parametrize("d, grid, delta, h, spacing", [
+    (1, 512, "1e-06", "0.001", "0.00781"), (1, 10, "0.01", "0.1", "0.4"),
+    (2, 10, "0.01", "0.196", "0.4"),
+])
+def test_recover_unresolved_delta_exit_2(tmp_path, capsys, d, grid, delta, h,
+                                         spacing):
+    # rejected before any output: the optimal h of delta is below the cell
+    # spacing of the typical case's grid
+    out = tmp_path / "out"
+    argv = ["recover", "--d", d, "--grid", grid, "--out", out]
+    if grid == 512:
+        argv += ["--deltas", f"0.1,{delta},1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"delta {delta} has optimal h {h}," in err
+    assert f"cell spacing {spacing};" in err and "larger --grid" in err
+    assert not (out / "recovery.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -288,6 +334,8 @@ class TestOtherCommands:
         assert code == 0
         rows = (tmp_path / "recovery.csv").read_text().strip().splitlines()
         assert len(rows) == 3
+        # the rows written when each delta built its own typical-case truth
+        assert rows[1:] == RECOVER_ROWS[("0.1,1.0", 1)]
         summary = json.loads((tmp_path / "recovery_summary.json").read_text())
         for entry in summary:
             assert entry["err_worst"] == pytest.approx(entry["omega"],
@@ -295,6 +343,28 @@ class TestOtherCommands:
             assert entry["err_typical"] <= entry["omega"] + 1e-3
         assert (tmp_path / "estimate_dump.csv").exists()
         assert (tmp_path / "recovery.svg").exists()
+
+    @pytest.mark.parametrize("deltas, d, grid, truths", [
+        ("0.1,4.0,1.0", 1, 256, 2), ("0.1,4.0,1.0", 2, 64, 2),
+        ("0.01,0.1,1.0", 1, 512, 1),
+    ])
+    def test_recover_builds_each_typical_truth_once(self, tmp_path, monkeypatch,
+                                                    deltas, d, grid, truths):
+        # the typical case's grid is fixed by max(2, 1.5 h): delta 4 has its
+        # own grid, the others share one; the rows are the ones written when
+        # each delta built its own truth
+        from chargelab import cli
+
+        built = []
+        make = cli.make_density
+        monkeypatch.setattr(cli, "make_density",
+                            lambda *a, **k: built.append(1) or make(*a, **k))
+        assert run(["recover", "--d", d, "--deltas", deltas, "--grid", grid,
+                    "--out", tmp_path]) == 0
+        assert len(built) == truths
+        if (deltas, d) in RECOVER_ROWS:
+            rows = (tmp_path / "recovery.csv").read_text().strip().splitlines()
+            assert rows[1:] == RECOVER_ROWS[(deltas, d)]
 
     def test_sharpness_search_m1_control(self, tmp_path):
         code = run(["sharpness-search", "--d", 2, "--m", 1, "--h", 1.0,

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import nquad
 
+from chargelab import windows
 from chargelab.charges import Charge, extremal_charge, extremal_density
 from chargelab.families import make_density, random_separable_field
 from chargelab.geometry import ConvexBody, Cone
 from chargelab.grids import GridSpec
 from chargelab.inequalities import (
+    _grad_sup,
     _shifted_antiderivative,
     _shifted_sup,
     box_corner_integral,
@@ -109,6 +112,98 @@ class TestNagy:
             f = make_density(name, grid)
             rep = nagy_inequality(f, K, C, 0.8)
             assert rep.slack >= -1e-6
+
+
+def _bits(x):
+    """x with every float and array replaced by its bytes, for bit-for-bit
+    comparison of reports."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (float, np.floating, np.ndarray)):
+        a = np.asarray(x)
+        return (a.dtype.str, a.shape, a.tobytes())
+    return x
+
+
+def _report_pair(nu, K, C, h):
+    return (lk_additive_charge(nu, K, C, h),
+            lk_multiplicative_charge(nu, K, C, h_max=2.5 * h, include_h=[h]))
+
+
+class TestReportPairMemo:
+    """The additive and the multiplicative report on one charge read the
+    value sup, the gradient sup and seminorm_Kh at h through the charge's
+    memo."""
+
+    CASES = [(2, 1, 1.0, 48), (3, 1, 1.0, 20)]
+
+    @pytest.mark.parametrize("d,m,h,n", CASES)
+    def test_shared_charge_gives_the_same_reports(self, d, m, h, n):
+        K, C, grid = box_case(d, m, h, n)
+        dens = extremal_density(K, C, h, grid)
+        shared = _report_pair(Charge(dens, C), K, C, h)
+        fresh = (lk_additive_charge(Charge(dens, C), K, C, h),
+                 lk_multiplicative_charge(Charge(dens, C), K, C, h_max=2.5 * h,
+                                          include_h=[h]))
+        for a, b in zip(shared, fresh):
+            for f in dataclasses.fields(a):
+                assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), f.name
+
+    @pytest.mark.parametrize("d,m,h,n", CASES)
+    def test_pair_sweeps_the_gradient_and_the_window_at_h_once(
+            self, d, m, h, n, monkeypatch):
+        K, C, grid = box_case(d, m, h, n)
+        dens = extremal_density(K, C, h, grid)
+        points, calls = [], []
+        grad_fn = dens.grad_fn
+
+        def counted_grad(pts):
+            points.append(pts.shape[0])
+            return grad_fn(pts)
+
+        dens.grad_fn = counted_grad
+        kernel = windows.box_window_sums
+        monkeypatch.setattr(windows, "box_window_sums",
+                            lambda prefix, i0s, i1s: calls.append(1)
+                            or kernel(prefix, i0s, i1s))
+        _report_pair(Charge(dens, C), K, C, h)
+        assert sum(points) == n**d + len(dens.sup_candidates)
+        # seminorm_Kh at h, the deviation's fractional field, seminorm_K's
+        # sweep at h_max and two bisection sweeps over the plateau edges
+        assert len(calls) == 5
+
+    def test_grad_sup_follows_the_body_and_the_cone(self):
+        from chargelab.grids import GridField
+
+        # gradient x on [-1.5, 1.5]^2 and a candidate point (-5, 2) that only
+        # the half plane x_0 < 0 holds, so each body and cone has its own sup
+        d = 2
+        grid = GridSpec.for_cone(d, 0, 1.5, 16)
+        f = GridField(grid, np.zeros(grid.shape),
+                      grad_fn=lambda pts: np.array(pts, dtype=float),
+                      sup_candidates=[np.array([-5.0, 2.0])])
+        nu = Charge(f, Cone.orthant(d, 0))
+        cones = (lambda: Cone.orthant(d, 1),
+                 lambda: Cone.halfspaces([[-1.0, 0.0]]), lambda: Cone.orthant(d, 1))
+        bodies = (lambda: ConvexBody.box(d), lambda: ConvexBody.pball(d, 1.0),
+                  lambda: ConvexBody.box(d))
+
+        def fresh(K, C):
+            return _grad_sup(Charge(f, Cone.orthant(d, 0)), K, C)
+
+        # one body and one cone object each, held across the calls
+        held_K, held_C = [b() for b in bodies], [c() for c in cones]
+        seen = set()
+        for K in held_K:
+            for C in held_C:
+                assert _grad_sup(nu, K, C) == fresh(K, C)
+                seen.add(_grad_sup(nu, K, C))
+        assert len(seen) == 4  # two bodies and two cones, each pair its own
+        # bodies and cones made afresh for each call: an id that a freed
+        # object leaves behind must not bring back its entry
+        for make_K in bodies:
+            for make_C in cones:
+                assert _grad_sup(nu, make_K(), make_C()) == fresh(make_K(), make_C())
 
 
 class TestBoxCornerIntegral:
