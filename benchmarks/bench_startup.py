@@ -46,9 +46,12 @@ lkbench pinned to 1:
 - `windows.lattice_window_sums` in process (after one warm-up call) on
   fixed-seed normal values at 24^2, 128^2, 48^3 and 96^3 cells, with the
   0/1 indicator of a Euclidean ball of radius n/3 cells;
-- lkbench's `box-hsup`, `general-body` and `cli-session` workloads in
-  process: minor page faults (`ru_minflt`) per operation, the median over
-  FAULT_OPS operations after one warm-up, and the peak resident set size.
+- lkbench's `box-hsup` and `general-body` workloads in process: minor
+  page faults (`ru_minflt`) per operation, the median over FAULT_OPS
+  operations after one warm-up, and the peak resident set size.  There is
+  no `cli-session` row: its faults per operation moved with the checkout's
+  path for the same code (255 to 1,476), so the row could not tell an
+  allocator change from path noise.
   The process imports NumPy, SciPy's top-level package and chargelab in
   the order lkbench's worker does, since the allocator's state (and so the
   faults) depends on what was imported.  Operation times are lkbench's to
@@ -83,7 +86,7 @@ FAULT_OPS = 10
 CLI_COMMANDS = [["verify", "--case", "extremal-charge"],
                 ["verify", "--case", "mixed-m1"],
                 ["stechkin-curve"], ["recover"], ["sharpness-search"]]
-WORKLOADS = ["box-hsup", "general-body", "cli-session"]
+FAULT_WORKLOADS = ["box-hsup", "general-body"]
 COMPLETION_REPEATS = 50
 # cells per axis, dimension, timed calls
 CORRELATION_CASES = [(24, 2, 200), (128, 2, 30), (48, 3, 20), (96, 3, 5)]
@@ -330,7 +333,7 @@ def measure(args):
              verify_row(args.src),
              probe_row(args.src, "first volume_body_cone call (box d=3, 2 faces), "
                        "fresh process", FIRST_VOLUME_PROBE)]
-    rows += [fault_row(args.src, w) for w in WORKLOADS]
+    rows += [fault_row(args.src, w) for w in FAULT_WORKLOADS]
     # in process last: a child started later would inherit this process's
     # peak resident set size in its own ru_maxrss
     rows += [*completion_rows(), *volume_rows(), *correlation_rows()]

@@ -26,6 +26,7 @@ from .charges import (
     seminorm_K,
 )
 from .config import (
+    _GRID_FLOORS,
     SCHEMAS,
     ConfigError,
     body_from_config,
@@ -33,7 +34,7 @@ from .config import (
     load_config,
     validate,
 )
-from .families import make_density, random_separable_field
+from .families import make_density, random_separable_field, sum_fields
 from .geometry import Cone, ConvexBody, GeometryError
 from .grids import GridField, GridSpec
 from .inequalities import (
@@ -95,6 +96,14 @@ def _zero_field(grid: GridSpec) -> GridField:
     )
 
 
+def _mixed_extremal(d: int, m: int, h: float, n: int):
+    """MixedParams and the equality case at step h on the n^d grid of
+    half-width 1.5 h: extremal_mixed_m0 for m = 0, else extremal_mixed_m1."""
+    build = extremal_mixed_m0 if m == 0 else extremal_mixed_m1
+    return (MixedParams(d=d, m=m, h=h),
+            build(h, d, GridSpec.for_cone(d, m, 1.5 * h, n)))
+
+
 # -- verify ----------------------------------------------------------------
 
 EQUALITY_CASES = {"extremal-charge", "nagy-extremal", "mixed-m0", "mixed-m1",
@@ -153,14 +162,7 @@ def _verify_reports(cfg: dict):
             fld = extremal_density(K, C, h, grid)
             reports.append(nagy_inequality(fld, K, C, h, tol))
         else:  # mixed-m0, mixed-m1
-            mm = 0 if case == "mixed-m0" else 1
-            p = MixedParams(d=d, m=mm, h=h)
-            grid = GridSpec.for_cone(d, mm, 1.5 * h, n)
-            f = (
-                extremal_mixed_m0(h, d, grid)
-                if mm == 0
-                else extremal_mixed_m1(h, d, grid)
-            )
+            p, f = _mixed_extremal(d, 0 if case == "mixed-m0" else 1, h, n)
             reports.append(lk_additive_mixed(f, p, tol))
             reports.append(lk_multiplicative_mixed(f, p, tol))
     return reports
@@ -217,13 +219,7 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
             att_N.append(steklov_norm(p))
             att_E.append(deviation_sup(nu, p).value)
         else:
-            grid = GridSpec.for_cone(d, m, 1.5 * h, n)
-            f = (
-                extremal_mixed_m0(h, d, grid)
-                if m == 0
-                else extremal_mixed_m1(h, d, grid)
-            )
-            p = MixedParams(d=d, m=m, h=h)
+            p, f = _mixed_extremal(d, m, h, n)
             att_N.append(mixed_operator_norm(p))
             att_E.append(mixed_deviation_sup(f, p))
     write_csv(outdir / "attained_points.csv", ["N", "E_measured"],
@@ -261,6 +257,27 @@ def _typical_radius(h: float) -> float:
     return max(2.0, 1.5 * h)
 
 
+def _typical_spacing(d: int, m: int, h: float, n: int) -> float:
+    """The smallest cell spacing of the typical case's n^d grid at radius h."""
+    return float(np.min(GridSpec.for_cone(d, m, _typical_radius(h), n).spacing))
+
+
+def _resolving_grid(d: int, m: int, hs) -> int:
+    """The smallest grid, at least recover's floor, on which no radius in hs
+    is below _typical_spacing (cmd_recover's check).  The spacing falls as
+    the grid grows, so doubling and then bisection find it."""
+    def resolves(n):
+        return not any(h < _typical_spacing(d, m, h, n) for h in hs)
+
+    lo = hi = _GRID_FLOORS["recover"]
+    while not resolves(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if resolves(mid) else (mid + 1, hi)
+    return hi
+
+
 def cmd_recover(cfg: dict, outdir: Path) -> int:
     d, m, n = cfg["d"], cfg["m"], cfg["grid"]
     K = ConvexBody.box(d)
@@ -269,12 +286,12 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
     deltas = [float(delta) for delta in cfg["deltas"]]
     hs = [optimal_h_for_delta(setting, delta) for delta in deltas]
     for delta, h in zip(deltas, hs):
-        sp = float(np.min(GridSpec.for_cone(d, m, _typical_radius(h), n).spacing))
+        sp = _typical_spacing(d, m, h, n)
         if h < sp:
             raise ConfigError(
                 f"recover: delta {delta:g} has optimal h {h:.3g}, below the "
                 f"typical-case grid's cell spacing {sp:.3g}; use a larger "
-                f"--grid (now {n})")
+                f"--grid, at least {_resolving_grid(d, m, hs)} (now {n})")
     rng = np.random.default_rng(cfg["seed"])
     truths = {}  # the typical case's smooth truth per grid radius
     rows = []
@@ -302,8 +319,6 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
             Charge(pert, C), K, 2.0 * float(np.max(grid2.hi - grid2.lo))
         ).value
         pert = pert.scaled(0.9 * delta / pnorm)
-        from .families import sum_fields
-
         noisy2 = Charge(sum_fields([truth2, pert]), C)
         res2 = recover_derivative(noisy2, delta, setting)
         err_typ = recovery_error(truth2, noisy2, res2)

@@ -110,45 +110,34 @@ def poly_component(coeffs) -> Component:
 
 
 def _product_callbacks(comps: list[Component]):
-    d = len(comps)
+    """value_fn, grad_fn, mixed_fn and mixed_grad_fn of prod_i g_i(x_i): the
+    product of the per-axis factors at derivative order 0 (the value) and
+    1 (the mixed derivative), and its product-rule gradient at each."""
 
-    def value_fn(pts):
-        out = np.ones(pts.shape[0])
-        for i, c in enumerate(comps):
-            out *= c.g(pts[:, i])
-        return out
+    def factors(pts, order):
+        return [(c.g, c.g1, c.g2)[order](pts[:, i]) for i, c in enumerate(comps)]
 
-    def grad_fn(pts):
-        vals = [c.g(pts[:, i]) for i, c in enumerate(comps)]
-        ders = [c.g1(pts[:, i]) for i, c in enumerate(comps)]
-        G = np.empty_like(pts)
-        for j in range(d):
-            col = ders[j].copy()
-            for i in range(d):
-                if i != j:
-                    col *= vals[i]
-            G[:, j] = col
-        return G
+    def product(order):
+        def fn(pts):
+            out = np.ones(pts.shape[0])
+            for f in factors(pts, order):
+                out *= f
+            return out
+        return fn
 
-    def mixed_fn(pts):
-        out = np.ones(pts.shape[0])
-        for i, c in enumerate(comps):
-            out *= c.g1(pts[:, i])
-        return out
+    def gradient(order):
+        def fn(pts):
+            vals, ders = factors(pts, order), factors(pts, order + 1)
+            G = np.empty_like(pts)
+            for j, col in enumerate(ders):
+                G[:, j] = col
+                for i, v in enumerate(vals):
+                    if i != j:
+                        G[:, j] *= v
+            return G
+        return fn
 
-    def mixed_grad_fn(pts):
-        ders = [c.g1(pts[:, i]) for i, c in enumerate(comps)]
-        ders2 = [c.g2(pts[:, i]) for i, c in enumerate(comps)]
-        G = np.empty_like(pts)
-        for j in range(d):
-            col = ders2[j].copy()
-            for i in range(d):
-                if i != j:
-                    col *= ders[i]
-            G[:, j] = col
-        return G
-
-    return value_fn, grad_fn, mixed_fn, mixed_grad_fn
+    return product(0), gradient(0), product(1), gradient(1)
 
 
 def separable_field(grid: GridSpec, comps: list[Component]) -> GridField:
@@ -172,17 +161,9 @@ def sum_fields(fields: list[GridField]) -> GridField:
             return None
         return lambda pts: sum(fn(pts) for fn in fns)
 
-    out = GridField(
-        grid=grid,
-        values=values,
-        value_fn=combine("value_fn"),
-        grad_fn=combine("grad_fn"),
-        mixed_fn=combine("mixed_fn"),
-        mixed_grad_fn=combine("mixed_grad_fn"),
-    )
-    for f in fields:
-        out.sup_candidates.extend(f.sup_candidates)
-    return out
+    names = ("value_fn", "grad_fn", "mixed_fn", "mixed_grad_fn")
+    return GridField(grid=grid, values=values, **{k: combine(k) for k in names},
+                     sup_candidates=[c for f in fields for c in f.sup_candidates])
 
 
 def _axis_bump(grid: GridSpec, axis: int):

@@ -132,14 +132,6 @@ class GridField:
 
     # -- sups over the sampled region -------------------------------------
 
-    def _callback(self, which: str) -> Optional[PointFn]:
-        return {
-            "value": self.value_fn,
-            "grad": self.grad_fn,
-            "mixed": self.mixed_fn,
-            "mixed_grad": self.mixed_grad_fn,
-        }[which]
-
     def sup_abs(self, which: str = "value", transform=None,
                 cone: Cone | None = None) -> SupResult:
         """Sup of |f| (or |transform(gradient rows)|) over cell centers plus
@@ -150,7 +142,7 @@ class GridField:
         transform maps an (N, d) array of gradients to (N,) scalars; when
         given, `which` must name a vector callback.
         """
-        fn = self._callback(which)
+        fn = getattr(self, f"{which}_fn")
         if which == "value" and transform is None:
             mag = np.abs(self.values.reshape(-1))
             i = int(np.argmax(mag))
@@ -177,6 +169,22 @@ class GridField:
                     best = float(mag[0])
                     arg = cand
         return SupResult(best, np.asarray(arg, dtype=float))
+
+    def deviation_candidates(self, cone: Cone) -> list:
+        """The off-grid points of a deviation sup, as float arrays: the
+        origin, then each registered candidate not already listed, keeping
+        those in the closure of `cone`.  The bounds are attained at the
+        cone's apex, where the extremal deviation peaks and no center need
+        lie, so every deviation sup reads the origin.  `sup_abs` does not:
+        a field registers its own off-grid sup, and with the origin the
+        gaussian-charge case would read its peak 1.0 for its grid sup."""
+        out = []
+        for cand in [np.zeros(self.grid.d), *self.sup_candidates]:
+            cand = np.asarray(cand, dtype=float)
+            if cone.member_closure(cand) and not any(
+                    np.array_equal(cand, c) for c in out):
+                out.append(cand)
+        return out
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values))) * self.grid.cell_volume

@@ -23,7 +23,7 @@ from .charges import (
     seminorm_K,
     seminorm_Kh,
 )
-from .geometry import ConvexBody, Cone, GeometryError
+from .geometry import ConvexBody, Cone, GeometryError, volume_body_cone
 from .golden import golden_min
 from .grids import GridField, GridSpec
 from .report import InequalityReport
@@ -125,8 +125,7 @@ def lk_multiplicative_charge(nu: Charge, K: ConvexBody, C: Cone,
     lk_additive_charge at h on the same charge, K and C, include_h=[h]
     finds its sweep at h there."""
     d = K.d
-    p1 = SteklovParams.create(K, C, 1.0)
-    mu = p1.mu
+    mu = volume_body_cone(K, C).value
     lhs = _density_sup(nu)
     gsup = _grad_sup(nu, K, C)
     semK = seminorm_K(nu, K, h_max or default_h_max(nu, K), include_h=include_h)
@@ -195,17 +194,17 @@ def _mixed_sups(f: GridField, p: MixedParams):
 
 def mixed_deviation_sup(f: GridField, p: MixedParams) -> float:
     """Sup over the cone of |mixed derivative - composed-difference average|,
-    evaluated from the analytic callbacks."""
+    evaluated from the analytic callbacks at every grid center and at the
+    field's deviation candidates (GridField.deviation_candidates: the origin
+    and the registered points)."""
     if f.mixed_fn is None or f.value_fn is None:
         raise GeometryError("mixed deviation needs value and mixed callbacks")
     best = 0.0
     for _, pts in f.grid.iter_center_chunks():
         dev = np.abs(f.mixed_fn(pts) - mixed_operator_apply(f, p, pts))
         best = max(best, float(dev.max()))
-    for cand in [np.zeros(p.d)] + list(f.sup_candidates):
-        X = np.asarray(cand, dtype=float)[None, :]
-        if not p.cone.member_closure(X[0]):
-            continue
+    for cand in f.deviation_candidates(p.cone):
+        X = cand[None, :]
         v = abs(float(f.mixed_fn(X)[0]) - float(mixed_operator_apply(f, p, X)[0]))
         best = max(best, v)
     return best

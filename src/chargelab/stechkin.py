@@ -11,7 +11,7 @@ the window average at the delta-matched radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,9 +60,8 @@ class ProblemSetting:
 
     @classmethod
     def mixed(cls, d: int, m: int) -> "ProblemSetting":
-        K, C = ConvexBody.box(d), Cone.orthant(d, m)
-        return cls(kind="mixed", d=d, m=m, mu=volume_body_cone(K, C).value,
-                   K=K, C=C)
+        setting = cls.charge(ConvexBody.box(d), Cone.orthant(d, m))
+        return replace(setting, kind="mixed")
 
 
 def omega(setting: ProblemSetting, delta: float) -> float:
@@ -167,16 +166,13 @@ def recover_derivative(nu_noisy: Charge, delta: float,
 
 def recovery_error(truth: GridField, nu_noisy: Charge,
                    result: RecoveryResult) -> float:
-    """Measured sup |true density - estimate| over valid centers, plus any
-    analytic candidate points of the truth."""
+    """Measured sup |true density - estimate| over valid centers, plus, for
+    a window-average estimate, the truth's deviation candidates (the origin
+    and its registered points), each through one strict window."""
     diff = np.abs(truth.values - result.estimate)
     best = float(np.max(np.where(result.valid, diff, -np.inf)))
     if truth.value_fn is not None and isinstance(result.params, SteklovParams):
-        for cand in [np.zeros(truth.grid.d)] + list(truth.sup_candidates):
-            cand = np.asarray(cand, dtype=float)
-            if not nu_noisy.cone.member_closure(cand):
-                continue
+        for cand in truth.deviation_candidates(nu_noisy.cone):
             sval = steklov_apply(nu_noisy, result.params, cand)
-            v = abs(float(truth.value_fn(cand[None, :])[0]) - sval)
-            best = max(best, v)
+            best = max(best, abs(float(truth.value_fn(cand[None, :])[0]) - sval))
     return best

@@ -91,8 +91,10 @@ def deviation_sup(nu: Charge, p: SteklovParams) -> DeviationResult:
 
     S_h integrates the density exactly over each window (strict center
     counting has an O(spacing) bias).  The sup runs over grid centers whose
-    window lies inside the sampled region, plus the origin and the sup
-    candidates; the fraction of usable centers is reported as coverage.
+    window lies inside the sampled region, plus, when the density has a
+    value callback, its deviation candidates (GridField.deviation_candidates:
+    the origin and the registered points) whose fractional window is not
+    truncated; the fraction of usable centers is reported as coverage.
     """
     dev = nu.fractional_values_all(p.K, p.h)
     mask = nu.full_windows(p.K, p.h)
@@ -104,19 +106,14 @@ def deviation_sup(nu: Charge, p: SteklovParams) -> DeviationResult:
     dev[~mask] = -np.inf
     i = int(np.argmax(dev))
     best = float(dev.reshape(-1)[i])
-    grid = nu.density.grid
-    arg = grid.flat_to_point(i)
-    # candidate points with analytic values (the extremals peak at theta)
-    for cand in [np.zeros(grid.d)] + list(nu.density.sup_candidates):
-        cand = np.asarray(cand, dtype=float)
-        if nu.density.value_fn is None:
-            break
-        if not nu.cone.member_closure(cand):
-            continue
+    arg = nu.density.grid.flat_to_point(i)
+    value_fn = nu.density.value_fn
+    cands = [] if value_fn is None else nu.density.deviation_candidates(nu.cone)
+    for cand in cands:
         wv = nu.window_value(p.K, cand, p.h, "overlap")
         if wv.truncated:
             continue
-        v = abs(float(nu.density.value_fn(cand[None, :])[0]) - wv.value * p.scale)
+        v = abs(float(value_fn(cand[None, :])[0]) - wv.value * p.scale)
         if v > best:
             best, arg = v, cand
     return DeviationResult(best, arg, float(mask.mean()))

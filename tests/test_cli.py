@@ -276,6 +276,10 @@ def test_grid_floor(tmp_path, capsys, argv, floor):
     assert run(argv + ["--grid", floor, "--out", tmp_path]) in (0, 1)
 
 
+# the smallest grid on which every delta of the case below passes the check
+RESOLVING_GRID = {(1, 512): 4000, (1, 10): 40, (2, 10): 21}
+
+
 @pytest.mark.parametrize("d, grid, delta, h, spacing", [
     (1, 512, "1e-06", "0.001", "0.00781"), (1, 10, "0.01", "0.1", "0.4"),
     (2, 10, "0.01", "0.196", "0.4"),
@@ -283,7 +287,8 @@ def test_grid_floor(tmp_path, capsys, argv, floor):
 def test_recover_unresolved_delta_exit_2(tmp_path, capsys, d, grid, delta, h,
                                          spacing):
     # rejected before any output: the optimal h of delta is below the cell
-    # spacing of the typical case's grid
+    # spacing of the typical case's grid; the message names the smallest
+    # grid on which every delta passes that check
     out = tmp_path / "out"
     argv = ["recover", "--d", d, "--grid", grid, "--out", out]
     if grid == 512:
@@ -292,7 +297,16 @@ def test_recover_unresolved_delta_exit_2(tmp_path, capsys, d, grid, delta, h,
     err = capsys.readouterr().err
     assert f"delta {delta} has optimal h {h}," in err
     assert f"cell spacing {spacing};" in err and "larger --grid" in err
+    assert f"at least {RESOLVING_GRID[d, grid]} (now {grid})" in err
     assert not (out / "recovery.csv").exists()
+
+
+@pytest.mark.parametrize("d, need", [(1, 40), (2, 21)])
+def test_recover_named_grid_is_the_smallest_that_runs(tmp_path, capsys, d, need):
+    argv = ["recover", "--d", d, "--out", tmp_path]
+    assert run(argv + ["--grid", need - 1]) == 2
+    assert f"at least {need} (now {need - 1})" in capsys.readouterr().err
+    assert run(argv + ["--grid", need]) in (0, 1)
 
 
 @pytest.mark.parametrize("argv", [

@@ -168,9 +168,10 @@ class TestReportPairMemo:
                             or kernel(prefix, i0s, i1s))
         _report_pair(Charge(dens, C), K, C, h)
         assert sum(points) == n**d + len(dens.sup_candidates)
-        # seminorm_Kh at h, the deviation's fractional field, seminorm_K's
-        # sweep at h_max and two bisection sweeps over the plateau edges
-        assert len(calls) == 5
+        # seminorm_Kh at h, the deviation's fractional field, its fractional
+        # window at the origin and seminorm_K's sweep at h_max (include_h=[h]
+        # finds h_opt in the memo, so no bisection sweep runs)
+        assert len(calls) == 4
 
     def test_grad_sup_follows_the_body_and_the_cone(self):
         from chargelab.grids import GridField
@@ -330,6 +331,25 @@ class TestMixedInequalities:
             "mixed_grad", transform=p.body.polar_norm_many, cone=p.cone
         ).value
         assert mixed_deviation_sup(f, p) <= d * h / (d + 1) * gsup + 1e-6
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_deviation_reads_the_origin_once(self, d):
+        # the field registers the origin too; the deviation sup lists it once
+        h = 1.0
+        p = MixedParams(d=d, m=1, h=h)
+        f = extremal_mixed_m1(h, d, GridSpec.for_cone(d, 1, 1.5 * h, 16))
+        assert any(not c.any() for c in f.sup_candidates)
+        origins, mixed_fn = [], f.mixed_fn
+
+        def counted(pts):
+            origins.append(int(np.sum(~pts.any(axis=1))))
+            return mixed_fn(pts)
+
+        f.mixed_fn = counted
+        dev = mixed_deviation_sup(f, p)
+        assert sum(origins) == 1
+        f.mixed_fn = mixed_fn
+        assert dev == mixed_deviation_sup(f, p)
 
 
 class TestSharpnessSearch:

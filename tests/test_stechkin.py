@@ -128,6 +128,30 @@ class TestRecovery:
         assert err == pytest.approx(omega(s, delta), abs=1e-3)
 
     @pytest.mark.parametrize("d,m", [(1, 0), (2, 1)])
+    def test_recovery_error_takes_the_origin_window_once(self, d, m,
+                                                         monkeypatch):
+        # the extremal truth registers the origin, which the error also
+        # reads unasked; its strict window is taken once
+        s = charge_setting(d, m)
+        delta = 0.1
+        h = optimal_h_for_delta(s, delta)
+        grid = GridSpec.for_cone(d, m, h, 48, margin=0.3 * h)
+        truth = extremal_density(s.K, s.C, h, grid)
+        assert any(not c.any() for c in truth.sup_candidates)
+        noisy = self.zero_charge(grid, s.C)
+        res = recover_derivative(noisy, delta, s)
+        seen, window_value = [], Charge.window_value
+
+        def counted(self, K, y, h, method="auto"):
+            seen.append(tuple(np.asarray(y, dtype=float)))
+            return window_value(self, K, y, h, method)
+
+        monkeypatch.setattr(Charge, "window_value", counted)
+        err = recovery_error(truth, noisy, res)
+        assert seen == [(0.0,) * d]
+        assert err == h  # the truth's peak h at the origin, estimate 0
+
+    @pytest.mark.parametrize("d,m", [(1, 0), (2, 1)])
     def test_zero_charge_estimate_and_mask(self, d, m):
         s = charge_setting(d, m)
         delta = 0.1

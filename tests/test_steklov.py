@@ -83,6 +83,28 @@ class TestSteklovOnExtremal:
         dev = deviation_sup(nu, p)
         assert dev.value == pytest.approx(d * h / (d + 1), rel=1e-3)
 
+    @pytest.mark.parametrize("d,m", [(1, 0), (2, 1), (3, 1)])
+    def test_deviation_takes_the_origin_window_once(self, d, m, monkeypatch):
+        # the extremal density registers the origin, which the deviation
+        # sup also reads unasked; it takes that fractional window once
+        h = 1.0
+        K, C = ConvexBody.box(d), Cone.orthant(d, m)
+        nu = extremal_charge(K, C, h, GridSpec.for_cone(d, m, h, 24,
+                                                        margin=0.3 * h))
+        assert any(not c.any() for c in nu.density.sup_candidates)
+        p = SteklovParams.create(K, C, h)
+        seen, window_value = [], Charge.window_value
+
+        def counted(self, K, y, h, method="auto"):
+            seen.append((tuple(np.asarray(y, dtype=float)), method))
+            return window_value(self, K, y, h, method)
+
+        monkeypatch.setattr(Charge, "window_value", counted)
+        dev = deviation_sup(nu, p)
+        assert seen.count(((0.0,) * d, "overlap")) == 1
+        assert dev.value == pytest.approx(d * h / (d + 1), rel=2e-2)
+        assert np.array_equal(dev.argmax, np.zeros(d))
+
     def test_deviation_bound_on_random_fields(self):
         # deviation <= (d h / (d+1)) * sup polar norm of the gradient
         from chargelab.charges import grad_sup_polar

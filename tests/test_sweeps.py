@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from chargelab.charges import extremal_density
-from chargelab.families import bump, separable_field
+from chargelab.families import (bump, gaussian_component, poly_component,
+                                separable_field, sine_component)
 from chargelab import geometry
 from chargelab.geometry import ConvexBody, Cone
 from chargelab.grids import GridField, GridSpec
@@ -187,6 +188,36 @@ class TestColumnwiseBitIdentity:
             assert np.array_equal(box_corner_integral(layout(B, kind), h),
                                   box_corner_ref(B, h))
 
+    @pytest.mark.parametrize("kind", LAYOUTS)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_separable_product_rule(self, d, kind):
+        # each factor column from the components, then row by row: the
+        # product in axis order and, for column j, the derivative factor
+        # times the others in axis order, at derivative orders 0 and 1
+        comps = [(bump(0.1, 2.5), gaussian_component(0.2, 0.7, -1.3),
+                  sine_component(2.0, 0.3), poly_component([0.5, 1.0, -0.3]))[i]
+                 for i in range(d)]
+        comps[0] = comps[0] * sine_component(1.5, 0.2)
+        X = sample_points(d, seed=30 + d)
+        Y = layout(X, kind)
+        grid = GridSpec(np.full(d, -2.0), np.full(d, 2.0), (3,) * d)
+        fld = separable_field(grid, comps)
+        factor = [[(c.g, c.g1, c.g2)[k](X[:, i]) for i, c in enumerate(comps)]
+                  for k in range(3)]
+        for order, value_fn, grad_fn in ((0, fld.value_fn, fld.grad_fn),
+                                         (1, fld.mixed_fn, fld.mixed_grad_fn)):
+            vals, ders = factor[order], factor[order + 1]
+            value, grad = np.empty(len(X)), np.empty_like(X)
+            for r in range(len(X)):
+                value[r] = math.prod(v[r] for v in vals)
+                for j in range(d):
+                    grad[r, j] = ders[j][r]
+                    for i in range(d):
+                        if i != j:
+                            grad[r, j] *= vals[i][r]
+            assert np.array_equal(value_fn(Y), value)
+            assert np.array_equal(grad_fn(Y), grad)
+
     def test_ties_take_the_first_facet_or_coordinate(self):
         box = ConvexBody.box(3)
         G = box.gauge_gradient_many(np.array([[1.0, -1.0, 1.0], [0.5, -2.0, 2.0]]))
@@ -194,6 +225,29 @@ class TestColumnwiseBitIdentity:
         cube = ConvexBody.polytope(3, facets=CUBE_FACETS)
         G = cube.gauge_gradient_many(np.array([[-1.0, 1.0, 0.0]]))
         assert np.array_equal(G, [[-1.0, 0.0, 0.0]])  # facet -e_1 precedes +e_2
+
+
+class TestDeviationCandidates:
+    def test_origin_first_then_each_new_candidate_in_the_closed_cone(self):
+        grid = GridSpec.for_cone(2, 0, 1.0, 8)
+        fld = GridField(grid, np.zeros(grid.shape), sup_candidates=[
+            (1, 1), [0, 0], np.array([1.0, 1.0]), [-1, 0.5], [0, -2],
+            np.array([-0.0, 0.0]), [2.5, 0]])
+        # the closed half plane x_0 >= 0 holds [0, -2] on its boundary
+        got = fld.deviation_candidates(Cone.orthant(2, 1))
+        want = [[0, 0], [1, 1], [0, -2], [2.5, 0]]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray) and g.dtype == float
+            assert np.array_equal(g, w)
+        assert len(fld.deviation_candidates(Cone.orthant(2, 0))) == 5
+
+    def test_origin_without_registered_candidates(self):
+        grid = GridSpec.for_cone(3, 1, 1.0, 4)
+        got = GridField(grid, np.zeros(grid.shape)).deviation_candidates(
+            Cone.halfspaces([[1.0, 0.5, 0.0]]))
+        assert len(got) == 1 and np.array_equal(got[0], np.zeros(3))
+        assert got[0].dtype == float
 
 
 def flat_sweep(fld, fn, transform=None):
