@@ -10,9 +10,14 @@ Run from the repository root:
 The box kernel is `chargelab.windows.box_window_sums`.  It takes per-axis
 half-open index ranges and evaluates the full cartesian product of windows,
 so a case costs roughly `queries` window sums.  Its cases are four random
-batches (d = 1..4) and the all-centers shape of lkbench's `box-hsup`
-workload (d = 3, 64^3 cells, one window per cell center).  Sampled windows
-of every case are checked against `box_window_sum_direct`.
+batches (d = 1..4), the all-centers shape of lkbench's `box-hsup`
+workload (d = 3, 64^3 cells, one window per cell center) with integer
+ranges, as `seminorm_Kh` asks for them, and with real positions, as
+`deviation_sup` does, and one single-window call.  Sampled windows of every
+case are checked against direct slicing of the values (`box_window_sum_direct`,
+or its fractional version here).  Each row also gives the minor page
+faults per timed call (`ru_minflt`), which fresh temporaries cost; a
+process whose allocator already holds pages of their size reads none.
 
 The general-body cases time `seminorm_Kh` for the 2-ball and the regular
 hexagon (circumradius 1) on the extremal density (h - |x|_K)_+ at h = 1,
@@ -49,7 +54,9 @@ process).
 from __future__ import annotations
 
 import json
+import math
 import os
+import resource
 import sys
 
 import numpy as np
@@ -96,6 +103,31 @@ def all_centers_case(n, r, d):
     return [np.clip(c - r, 0, n)] * d, [np.clip(c + r + 1, 0, n)] * d
 
 
+def fractional_centers_case(n, r, d):
+    """Real window ends (c + 0.5) -+ (r + 0.3) cells at every center c,
+    the ends beyond the grid left for the kernel to clip."""
+    c = np.arange(n) + 0.5
+    return [c - (r + 0.3)] * d, [c + (r + 0.3)] * d
+
+
+def fractional_direct(values, t0s, t1s):
+    """One window with real ends by direct slicing: the cells that [t0, t1],
+    clipped to the grid, meets on each axis, each weighted by the length of
+    it inside."""
+    cells, weights = values, []
+    for axis, (t0, t1) in enumerate(zip(t0s, t1s)):
+        n = values.shape[axis]
+        t0, t1 = min(max(float(t0), 0.0), n), min(max(float(t1), 0.0), n)
+        if t1 <= t0:
+            return 0.0
+        j = np.arange(math.floor(t0), math.ceil(t1))
+        cells = cells[(slice(None),) * axis + (slice(j[0], j[-1] + 1),)]
+        weights.append(np.minimum(j + 1, t1) - np.maximum(j, t0))
+    for w in weights:
+        cells = np.tensordot(w, cells, axes=(0, 0))
+    return float(cells)
+
+
 def time_case(windows, label, values, i0s, i1s, rng, repeats):
     prefix = windows.build_prefix(values)
     out = windows.box_window_sums(prefix, i0s, i1s)
@@ -105,16 +137,21 @@ def time_case(windows, label, values, i0s, i1s, rng, repeats):
         idx = tuple(int(rng.integers(0, len(a))) for a in i0s)
         a = [i0s[k][idx[k]] for k in range(values.ndim)]
         b = [i1s[k][idx[k]] for k in range(values.ndim)]
-        ref = windows.box_window_sum_direct(values, a, b)
+        ref = (windows.box_window_sum_direct(values, a, b)
+               if np.issubdtype(i0s[0].dtype, np.integer)
+               else fractional_direct(values, a, b))
         if abs(out[idx] - ref) > tol:
             raise SystemExit(f"{label}: window {idx} gives {out[idx]!r}, "
                              f"direct slicing {ref!r}")
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     _, times = timed(lambda: windows.box_window_sums(prefix, i0s, i1s), repeats)
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
     queries = int(np.prod([len(a) for a in i0s]))
     row = summary(times)
     return {"case": label, "d": values.ndim, "n": values.shape[0],
             "queries": queries, "repeats": repeats, **row,
-            "ns_per_query": 1e6 * row["median_ms"] / queries}
+            "ns_per_query": 1e6 * row["median_ms"] / queries,
+            "faults_per_call": minflt / repeats}
 
 
 def kernel_rows(windows):
@@ -129,6 +166,9 @@ def kernel_rows(windows):
     values = rng.random((n,) * d)
     i0s, i1s = all_centers_case(n, r, d)
     rows.append(time_case(windows, f"all centers d={d} n={n}", values,
+                          i0s, i1s, rng, REPEATS))
+    i0s, i1s = fractional_centers_case(n, r, d)
+    rows.append(time_case(windows, f"fractional all centers d={d} n={n}", values,
                           i0s, i1s, rng, REPEATS))
     # one window per call, the per-call overhead of the CLI's small grids
     i0s, i1s = [np.array([3])] * d, [np.array([40])] * d

@@ -296,7 +296,9 @@ class Charge:
             i0s, i1s = zip(*(windows.index_ranges_batch(lo, sp, n, a, b)
                              for lo, sp, n, a, b
                              in zip(g.lo, g.spacing, g.shape, wlos, whis)))
-        return windows.box_window_sums(self.prefix(), i0s, i1s) * g.cell_volume
+        out = windows.box_window_sums(self.prefix(), i0s, i1s)
+        out *= g.cell_volume
+        return out
 
     def _kernel_lattice(self, K: ConvexBody, h: float):
         """The lattice correlation's kernel at h: per axis the offsets
@@ -362,7 +364,8 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
 
 def _seminorm_sweep(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
     g = nu.density.grid
-    S = np.abs(nu.window_values_all(K, h))
+    S = nu.window_values_all(K, h)
+    np.abs(S, out=S)
     i = int(np.argmax(S))
     best = float(S.reshape(-1)[i])
     arg = g.flat_to_point(i)

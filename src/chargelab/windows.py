@@ -4,15 +4,17 @@ Two batched kernels.  Axis-aligned windows (box bodies with orthant cones)
 are answered from zero-padded prefix (summed-area) tables: inclusion-exclusion
 over a cartesian product of per-axis windows factorises by axis, so a batch
 costs one difference pass per axis over the table instead of 2^d corner
-lookups per window.  The same pass takes integer cell ranges (strict windows:
-the cells whose centers lie inside) or real cell positions (fractional
-windows: cells cut by a face count with the fraction inside, the exact
-integral of the piecewise-constant values), the latter by linear
-interpolation of the table.  A window of any other shape, translated to every
-cell center, is a discrete correlation of the values with the window's 0/1
-indicator over integer cell offsets, computed by one real FFT in NumPy,
-whose passes round as scipy.fft's do.  Direct slicing of the values is kept
-as the oracle.
+lookups per window.  The passes run in cache-sized blocks of first-axis
+queries through scratch buffers allocated once per call, so the result is
+the only array of its size that a batch allocates.  A pass takes integer
+cell ranges (strict windows: the cells whose centers lie inside) or real
+cell positions (fractional windows: cells cut by a face count with the
+fraction inside, the exact integral of the piecewise-constant values), the
+latter by linear interpolation of the table.  A window of any other shape,
+translated to every cell center, is a discrete correlation of the values
+with the window's 0/1 indicator over integer cell offsets, computed by one
+real FFT in NumPy, whose passes round as scipy.fft's do.  Direct slicing of
+the values is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ __all__ = ["KERNEL", "build_prefix", "index_range", "box_window_sums",
 # center sitting exactly on the open window's boundary is excluded,
 # deterministically, even under float rounding
 _TIE = 1e-9
+
+# float64 entries in each scratch buffer of box_window_sums: 256 KB, which
+# stays in L2 and under glibc's mmap threshold, so that a call's buffers
+# reuse heap pages instead of faulting in fresh ones (at 2^17 they do not)
+_BLOCK = 1 << 15
 
 
 def build_prefix(values: np.ndarray) -> np.ndarray:
@@ -77,39 +84,89 @@ def box_window_sums(prefix: np.ndarray, i0s, i1s) -> np.ndarray:
     prefix has shape (n_1+1, ..., n_d+1) with prefix[j] the sum of values
     over cells < j in every axis (see build_prefix).  i0s/i1s hold, per axis,
     the ends of each query's window along that axis, in cells.  Integer
-    arrays are half-open cell index ranges [i0, i1).  Real arrays are
-    positions, clipped to [0, n_k]: a cell cut by an end counts with the
-    fraction of it inside, so the sum is the exact integral, in cell units,
-    of the piecewise-constant values over the box cut to the grid.  Returns
-    one sum per combination of per-axis queries, with shape
-    tuple(len(a) for a in i0s).
+    arrays are half-open cell index ranges [i0, i1) with 0 <= i0, i1 <= n_k
+    (an index outside clips to that range).  Real arrays are positions,
+    clipped to [0, n_k]: a cell cut by an end counts with the fraction of it
+    inside, so the sum is the exact integral, in cell units, of the
+    piecewise-constant values over the box cut to the grid.  Returns one sum
+    per combination of per-axis queries, with shape tuple(len(a) for a in
+    i0s).
+
+    The first-axis queries go in blocks, as many as keep every pass's
+    output for a block within _BLOCK entries (at least one).  A block runs
+    the d difference passes (_difference) through scratch buffers that the
+    call allocates once, the last pass into its rows of the result, so the
+    result is the only array of its size that a call allocates.
     """
-    out = prefix
-    for axis, (i0, i1) in enumerate(zip(i0s, i1s)):
-        if np.issubdtype(np.asarray(i0).dtype, np.integer):
-            out = np.take(out, i1, axis=axis) - np.take(out, i0, axis=axis)
-        else:
-            out = _fractional_difference(out, i0, i1, axis)
+    d = prefix.ndim
+    ends = [_ends(i0, i1, n - 1, d - 1 - k)
+            for k, (i0, i1, n) in enumerate(zip(i0s, i1s, prefix.shape))]
+    q = [len(e[0]) for e in ends]
+    out = np.empty(tuple(q))
+    if out.size == 0:
+        return out
+    # a block's shape after pass k, less its first axis
+    shapes = [tuple(q[1:k + 1]) + prefix.shape[k + 1:] for k in range(d)]
+    block = min(q[0], max(1, _BLOCK // max(map(math.prod, shapes))))
+    # per pass: its output (but for the last pass, which writes into the
+    # result), lo and, for positions, below; allocated at the pass's first
+    # use and dropped after its last, so that a call of one block holds one
+    # pass's buffers and its input at a time
+    bufs = [None] * d
+    for r0 in range(0, q[0], block):
+        r1 = r0 + block
+        src = prefix
+        for k, e in enumerate(ends):
+            buf = bufs[k]
+            if buf is None:
+                buf = [np.empty((block,) + shapes[k])
+                       for _ in range(1 + (len(e) > 2) + (k < d - 1))]
+            bufs[k] = buf if r1 < q[0] else None
+            if k == 0 and block < q[0]:
+                e = [a[r0:r1] for a in e]
+            if r1 > q[0]:
+                buf = [x[:q[0] - r0] for x in buf]
+            if k < d - 1:
+                dst = buf[0]
+                _difference(src, k, e, dst, *buf[1:])
+            else:
+                dst = out[r0:r1]
+                _difference(src, k, e, dst, *buf)
+            src = dst
     return out
 
 
-def _fractional_difference(table: np.ndarray, t0, t1, axis: int) -> np.ndarray:
-    """F(t1) - F(t0) along one axis, F the linear interpolant of the table
-    over integer positions; three result-sized arrays, as the strict pass."""
-    n = table.shape[axis] - 1
-    shape = table.shape[:axis] + (len(t0),) + table.shape[axis + 1:]
-    lo, hi, below = np.empty(shape), np.empty(shape), np.empty(shape)
-    for t, out in ((t0, lo), (t1, hi)):
+def _ends(i0, i1, n: int, trail: int):
+    """The take indices and weights of one axis pass: (i1, i0) for cell
+    ranges, (k1 + 1, k1, w1, k0 + 1, k0, w0) for positions, where t is
+    clipped to [0, n], k = min(floor t, n - 1) and w = t - k is shaped to
+    broadcast over the trail axes after it."""
+    i0, i1 = np.asarray(i0), np.asarray(i1)
+    if i0.dtype.kind in "iu":
+        return i1, i0
+    out = ()
+    for t in (i1, i0):
         t = np.clip(t, 0.0, n)
         k = np.minimum(t.astype(np.int64), n - 1)
-        # k, k + 1 are in range; mode="raise" would buffer each take
-        np.take(table, k + 1, axis=axis, out=out, mode="clip")
-        np.take(table, k, axis=axis, out=below, mode="clip")
-        out -= below
-        out *= (t - k).reshape((-1,) + (1,) * (table.ndim - 1 - axis))
-        out += below
-    hi -= lo
-    return hi
+        out += (k + 1, k, (t - k).reshape((-1,) + (1,) * trail))
+    return out
+
+
+def _difference(src, axis: int, ends, dst, lo, below=None) -> None:
+    """dst = F(end) - F(start) along one axis of src, F the table (cell
+    ranges) or its linear interpolant over integer positions; lo and below
+    are scratch of dst's shape.  mode="raise" would buffer each take."""
+    if len(ends) == 2:
+        src.take(ends[0], axis, dst, "clip")
+        src.take(ends[1], axis, lo, "clip")
+    else:
+        for (up, k, w), buf in ((ends[:3], dst), (ends[3:], lo)):
+            src.take(up, axis, buf, "clip")
+            src.take(k, axis, below, "clip")
+            buf -= below
+            buf *= w
+            buf += below
+    dst -= lo
 
 
 def lattice_window_sums(values: np.ndarray, indicator: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +85,115 @@ class TestPrefixTable:
         assert out.shape == tuple(len(a) for a in i0s)
         np.testing.assert_allclose(out, corner_sums(prefix, i0s, i1s),
                                    rtol=0, atol=1e-12)
+
+
+def take_difference(table, i0s, i1s):
+    """Reference: one unblocked difference pass per axis over the whole
+    table, strict (a take pair) or fractional (linear interpolation), with
+    the kernel's per-element arithmetic."""
+    out = table
+    for axis, (t0, t1) in enumerate(zip(i0s, i1s)):
+        if np.issubdtype(np.asarray(t0).dtype, np.integer):
+            out = np.take(out, t1, axis=axis) - np.take(out, t0, axis=axis)
+            continue
+        n = out.shape[axis] - 1
+        ends = []
+        for t in (t0, t1):
+            t = np.clip(t, 0.0, n)
+            k = np.minimum(t.astype(np.int64), n - 1)
+            below = np.take(out, k, axis=axis)
+            end = np.take(out, k + 1, axis=axis) - below
+            end *= (t - k).reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+            ends.append(end + below)
+        out = ends[1] - ends[0]
+    return out
+
+
+def query_case(rng, d, n, q, fractional):
+    """q[k] windows on axis k of an n^d grid; fractional ends are real
+    positions that may fall outside [0, n]."""
+    i0s = [rng.integers(0, n, size=qk) for qk in q]
+    i1s = [np.minimum(a + rng.integers(0, n, size=len(a)), n) for a in i0s]
+    if fractional:
+        i0s = [a + rng.random(len(a)) - 0.5 for a in i0s]
+        i1s = [b + rng.random(len(b)) - 0.25 for b in i1s]
+    return i0s, i1s
+
+
+def all_centers(n, r, fractional):
+    """One window of half-width r cells at each of n cell centers per axis,
+    as lkbench's box-hsup sweeps (strict) and deviation_sup (fractional)
+    ask for them."""
+    c = np.arange(n)
+    if fractional:
+        return [c + 0.5 - r] * 3, [c + 0.5 + r] * 3
+    r = int(r)
+    return [np.clip(c - r, 0, n)] * 3, [np.clip(c + r + 1, 0, n)] * 3
+
+
+class TestBlockedPasses:
+    # d, cells per axis, queries per axis: the first axis spans several
+    # blocks and ends in a partial one (d = 1: more than 2 * 2^15 queries)
+    CASES = [(1, 1000, (2 * windows._BLOCK + 123,)), (2, 300, (250, 60)),
+             (3, 40, (50, 7, 9)), (4, 12, (33, 5, 3, 4))]
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("d,n,q", CASES)
+    def test_bit_identical_across_blocks(self, d, n, q, fractional):
+        rng = np.random.default_rng(10 * d + fractional)
+        prefix = windows.build_prefix(rng.random((n,) * d))
+        i0s, i1s = query_case(rng, d, n, q, fractional)
+        # the largest row (per first-axis query) of any pass's output
+        row = max(math.prod(q[1:k + 1]) * (n + 1) ** (d - 1 - k) for k in range(d))
+        block = windows._BLOCK // row
+        assert q[0] > 2 * block and q[0] % block
+        got = windows.box_window_sums(prefix, i0s, i1s)
+        assert got.shape == q
+        assert np.array_equal(got, take_difference(prefix, i0s, i1s))
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_bit_identical_all_centers(self, fractional):
+        rng = np.random.default_rng(64)
+        prefix = windows.build_prefix(rng.random((64,) * 3))
+        i0s, i1s = all_centers(64, 16.3, fractional)
+        got = windows.box_window_sums(prefix, i0s, i1s)
+        assert np.array_equal(got, take_difference(prefix, i0s, i1s))
+
+    def test_mixed_strict_and_fractional_axes(self):
+        rng = np.random.default_rng(7)
+        prefix = windows.build_prefix(rng.random((20, 20, 20)))
+        s0, s1 = query_case(rng, 3, 20, (30, 6, 5), False)
+        f0, f1 = query_case(rng, 3, 20, (30, 6, 5), True)
+        i0s, i1s = [f0[0], s0[1], f0[2]], [f1[0], s1[1], f1[2]]
+        assert np.array_equal(windows.box_window_sums(prefix, i0s, i1s),
+                              take_difference(prefix, i0s, i1s))
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("empty", [0, 2])
+    def test_zero_length_queries(self, empty, fractional):
+        rng = np.random.default_rng(3)
+        prefix = windows.build_prefix(rng.random((6, 7, 8)))
+        i0s, i1s = query_case(rng, 3, 6, [0 if k == empty else 4 for k in range(3)],
+                              fractional)
+        out = windows.box_window_sums(prefix, i0s, i1s)
+        assert out.shape == tuple(len(a) for a in i0s)
+        assert out.size == 0
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_no_grid_sized_temporary(self, fractional):
+        # NumPy reports its buffers to tracemalloc; the traced peak is the
+        # result plus the scratch, at most 2 buffers per pass (3 with
+        # fractional ends) but for the last, of at most _BLOCK float64 each
+        prefix = windows.build_prefix(np.random.default_rng(1).random((64,) * 3))
+        i0s, i1s = all_centers(64, 16.3, fractional)
+        scratch = (3 * 3 - 1 if fractional else 2 * 3 - 1) * windows._BLOCK * 8
+        tracemalloc.start()
+        try:
+            out = windows.box_window_sums(prefix, i0s, i1s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + scratch + (1 << 18), peak
 
 
 class TestIndexRange:
