@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import windows
-from .geometry import (ConvexBody, Cone, GeometryError, _lattice_gauges,
-                       _lattice_indicator)
+from .geometry import (ConvexBody, Cone, GeometryError, _check_radius,
+                       _lattice_gauges, _lattice_indicator)
 from .grids import GridField, GridSpec
 from .golden import golden_min
 
@@ -231,8 +231,7 @@ class Charge:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.cone.d,):
             raise GeometryError("translate has wrong dimension")
-        if h <= 0:
-            raise GeometryError("h must be positive")
+        _check_radius(h)
         if method not in ("auto", "overlap"):
             raise GeometryError(f"unknown window method {method!r}")
         g = self.density.grid
@@ -267,8 +266,7 @@ class Charge:
         indicator of hK∩C at the lattice offsets.  Both exclude a cell center
         on the window's boundary, up to the same relative tie tolerance.
         """
-        if h <= 0:
-            raise GeometryError("h must be positive")
+        _check_radius(h)
         if self._fast_path(K):
             return self._box_sums(*self._window_bounds(K, h))
         return self._correlation_values_all(K, h)
@@ -277,8 +275,7 @@ class Charge:
         """nu(y + hK∩C) for y at every grid center, cells cut by a window's
         faces counting with the fraction inside: the exact integral of the
         piecewise-constant density.  Box body with orthant cone only."""
-        if h <= 0:
-            raise GeometryError("h must be positive")
+        _check_radius(h)
         if not self._fast_path(K):
             raise GeometryError("fractional windows need box body + orthant cone")
         return self._box_sums(*self._window_bounds(K, h), fractional=True)
@@ -356,8 +353,7 @@ def seminorm_Kh(nu: Charge, K: ConvexBody, h: float) -> SeminormResult:
     extremal families attain the sup.  The result is memoized on the charge
     per K (by identity) and h.
     """
-    if h <= 0:
-        raise GeometryError("h must be positive")
+    _check_radius(h)
     return nu.memo("seminorm_Kh", (K,), lambda: _seminorm_sweep(nu, K, h),
                    float(h))
 
@@ -403,8 +399,7 @@ def seminorm_K(nu: Charge, K: ConvexBody, h_max: float,
     h_max should be at least the gauge diameter of the support, for the
     sup over h <= h_max to be the sup over every h > 0.
     """
-    if h_max <= 0:
-        raise GeometryError("h_max must be positive")
+    _check_radius(h_max, "h_max")
     if nu.is_zero:
         return SeminormKResult(0.0, h_max, 0.0)
     v = nu.density.values
@@ -466,8 +461,7 @@ def _first(pred, xs) -> int:
 def extremal_density(K: ConvexBody, C: Cone, h: float, grid: GridSpec) -> GridField:
     """Density (h - |x|_K)_+ restricted to the cone, with analytic value and
     gradient callbacks; the gradient has polar norm 1 on the support."""
-    if h <= 0:
-        raise GeometryError("h must be positive")
+    _check_radius(h)
     r = h * K.bounding_radii()
     for axis in range(grid.d):
         lo_ok = grid.lo[axis] <= (0.0 if axis < C.m else -r[axis])

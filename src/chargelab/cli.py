@@ -27,6 +27,7 @@ from .charges import (
 )
 from .config import (
     _GRID_FLOORS,
+    _largest_grid,
     SCHEMAS,
     ConfigError,
     body_from_config,
@@ -49,13 +50,7 @@ from .inequalities import (
     sharpness_search,
 )
 from .report import CSV_COLUMNS, write_csv, write_json
-from .steklov import (
-    MixedParams,
-    SteklovParams,
-    deviation_sup,
-    mixed_operator_norm,
-    steklov_norm,
-)
+from .steklov import MixedParams, SteklovParams, deviation_sup
 from .stechkin import (
     ProblemSetting,
     omega,
@@ -205,22 +200,20 @@ def cmd_stechkin_curve(cfg: dict, outdir: Path) -> int:
     write_csv(outdir / "omega_curve.csv", columns,
               [[r[k] for k in columns] for r in rows])
 
-    # numerically attained points from extremal inputs
+    # numerically attained points from extremal inputs, at the operator
+    # norm N = 1/(h^d mu) of each setting
     n = cfg["grid"]
-    if n is None:
-        n = 64 if setting.kind == "mixed" else 512 if d == 1 else 128
     att_N, att_E = [], []
     for h in cfg["h_attained"]:
         h = float(h)
+        att_N.append(1.0 / (h**d * setting.mu))
         if setting.kind == "charge":
             grid = _charge_grid(setting.K, m, h, n)
             nu = extremal_charge(setting.K, setting.C, h, grid)
             p = SteklovParams(K=setting.K, C=setting.C, h=h, mu=setting.mu)
-            att_N.append(steklov_norm(p))
             att_E.append(deviation_sup(nu, p).value)
         else:
             p, f = _mixed_extremal(d, m, h, n)
-            att_N.append(mixed_operator_norm(p))
             att_E.append(mixed_deviation_sup(f, p))
     write_csv(outdir / "attained_points.csv", ["N", "E_measured"],
               zip(att_N, att_E))
@@ -288,10 +281,14 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
     for delta, h in zip(deltas, hs):
         sp = _typical_spacing(d, m, h, n)
         if h < sp:
+            need = _resolving_grid(d, m, hs)
+            over = ("" if need <= _largest_grid(d) else
+                    f"; that is over the cell budget (the largest grid at "
+                    f"d = {d} is {_largest_grid(d)}), so use larger deltas")
             raise ConfigError(
                 f"recover: delta {delta:g} has optimal h {h:.3g}, below the "
                 f"typical-case grid's cell spacing {sp:.3g}; use a larger "
-                f"--grid, at least {_resolving_grid(d, m, hs)} (now {n})")
+                f"--grid, at least {need} (now {n}){over}")
     rng = np.random.default_rng(cfg["seed"])
     truths = {}  # the typical case's smooth truth per grid radius
     rows = []

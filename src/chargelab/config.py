@@ -44,7 +44,7 @@ SCHEMAS = {
         "delta_min": (float, 0.01),
         "delta_max": (float, 10.0),
         "h_attained": (list, [0.5, 1.0, 2.0]),
-        "grid": (int, None),
+        "grid": (int, None),  # None: by setting and d (validate)
     },
     "recover": {
         "d": (int, 1),
@@ -92,16 +92,30 @@ _GRID_FLOORS = {"extremal-charge": 5, "corrupted-extremal": 5,
                 "gaussian-charge": 9, "zero": 5, "charge": 5, "recover": 10}
 
 
+# the most cells, n^d, of a verify, stechkin-curve or recover grid: 128 MiB
+# per float64 array on the grid
+_MAX_CELLS = 2**24
+
+
+def _largest_grid(d: int) -> int:
+    """The largest n with n^d <= _MAX_CELLS."""
+    n = round(_MAX_CELLS ** (1.0 / d))
+    return n if n**d <= _MAX_CELLS else n - 1
+
+
 def _grid_range(command: str):
-    """The _RANGES entry of the grid key of a command: at least its floor."""
+    """The _RANGES entry of the grid key of a command: at least its floor,
+    and at most _largest_grid(d)."""
     def floor(cfg) -> tuple:
         for key in ("case", "setting"):
             if key in cfg:
                 return _GRID_FLOORS.get(cfg[key], 2), f"{command} {key} {cfg[key]!r}"
         return _GRID_FLOORS.get(command, 2), command
 
-    return (lambda v, cfg: v >= floor(cfg)[0],
-            lambda cfg: "at least {} for {}".format(*floor(cfg)))
+    return (lambda v, cfg: floor(cfg)[0] <= v <= _largest_grid(cfg["d"]),
+            lambda cfg: "at least {} for {}".format(*floor(cfg))
+            + f" and at most {_largest_grid(cfg['d'])} at d = {cfg['d']} "
+              f"(n^d within {_MAX_CELLS} cells)")
 
 
 # key -> (test of a set value against the merged config, what it must be:
@@ -164,6 +178,9 @@ def validate(command: str, cfg: dict) -> dict:
             out[key] = val
         else:
             out[key] = default
+    if command == "stechkin-curve" and out["grid"] is None:
+        out["grid"] = (64 if out["setting"] == "mixed" else
+                       512 if out["d"] == 1 else 128)
     for key in schema:
         check = _RANGES.get((command, key)) or _RANGES.get(key)
         if check and out[key] is not None and not check[0](out[key], out):

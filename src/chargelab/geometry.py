@@ -43,6 +43,13 @@ def _as_vector(x, d: int) -> np.ndarray:
     return x
 
 
+def _check_radius(h, name: str = "h") -> None:
+    """Raise GeometryError unless the window radius h is in (0, inf); NaN
+    fails too."""
+    if not 0 < h < math.inf:
+        raise GeometryError(f"{name} must be positive and finite, got {h!r}")
+
+
 @dataclass(frozen=True)
 class ConvexBody:
     """Open bounded convex body, symmetric about the origin.

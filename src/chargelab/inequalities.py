@@ -3,8 +3,11 @@
 Charge form: the additive bound sup|f| <= (dh/(d+1))*sup|grad f|_polar +
 seminorm/(h^d mu), its multiplicative companion, and the Nagy-type L1
 corollary.  Mixed form (box body, orthant cone): the same pair for the full
-mixed derivative, with the extremal antiderivative constructions for m = 0
-and the split-point construction for m = 1, plus an exploratory sharpness
+mixed derivative, with data sup|f| and mu = mu(K∩C)/2^d = 2^-m, since the
+charge of a window under f is a composed difference of 2^d values of f.
+One private builder writes each of the two inequalities for both forms.
+The module also holds the extremal antiderivative constructions for m = 0
+and the split-point construction for m = 1, and an exploratory sharpness
 search for m >= 2 where no proof is known.
 """
 
@@ -66,6 +69,34 @@ def _grad_sup(nu: Charge, K: ConvexBody, C: Cone) -> float:
                    lambda: grad_sup_polar(nu.density, K, C))
 
 
+def _additive_report(case: str, d: int, m: int, h: float, grid: str,
+                     lhs: float, gsup: float, data: float, N: float, tol: float,
+                     dev: float | None = None, **fields) -> InequalityReport:
+    """lhs <= dh/(d+1) gsup + N data, N the operator norm 1/(h^d mu); when
+    the deviation dev is given, the chain link dev + N data between them."""
+    rep = InequalityReport(
+        case, d, m, h, grid, lhs, tol=tol, **fields,
+        rhs_terms={"deviation": d * h / (d + 1) * gsup, "norm": data * N},
+        middle=None if dev is None else dev + N * data)
+    rep.validate()
+    return rep
+
+
+def _multiplicative_report(case: str, d: int, m: int, h: float, grid: str,
+                           lhs: float, gsup: float, data: float, mu: float,
+                           tol: float, extras: dict,
+                           joint: bool = False) -> InequalityReport:
+    """lhs <= ((d+1)/mu)^(1/(d+1)) gsup^(d/(d+1)) data^(1/(d+1)), the least
+    additive bound over h; joint powers (d+1)/mu * data in one step."""
+    e = 1.0 / (d + 1)
+    rhs = (((d + 1) / mu * data) ** e * gsup ** (d / (d + 1)) if joint else
+           ((d + 1) / mu) ** e * gsup ** (d / (d + 1)) * data ** e)
+    rep = InequalityReport(case, d, m, h, grid, lhs, {"product": rhs},
+                           tol=tol, extras=extras)
+    rep.validate()
+    return rep
+
+
 def lk_additive_charge(nu: Charge, K: ConvexBody, C: Cone, h: float,
                        tol: float = 1e-3) -> InequalityReport:
     """Additive bound on sup|density|, including the operator chain link.
@@ -75,32 +106,16 @@ def lk_additive_charge(nu: Charge, K: ConvexBody, C: Cone, h: float,
     the same charge, K and C (with h in include_h) does not sweep them
     again."""
     p = SteklovParams.create(K, C, h)
-    d = K.d
     lhs = _density_sup(nu)
     gsup = _grad_sup(nu, K, C)
     sem = seminorm_Kh(nu, K, h)
     dev = deviation_sup(nu, p)
-    middle = dev.value + steklov_norm(p) * sem.value
-    rep = InequalityReport(
-        case="lk-additive-charge",
-        d=d,
-        m=C.m,
-        h=h,
-        grid=nu.density.grid.key(),
-        lhs=lhs,
-        rhs_terms={
-            "deviation": d * h / (d + 1) * gsup,
-            "norm": sem.value * steklov_norm(p),
-        },
-        middle=middle,
-        tol=tol,
-        coverage=dev.coverage,
-        truncated=sem.truncated,
+    return _additive_report(
+        "lk-additive-charge", K.d, C.m, h, nu.density.grid.key(), lhs, gsup,
+        sem.value, steklov_norm(p), tol, dev.value,
+        coverage=dev.coverage, truncated=sem.truncated,
         argmax={"seminorm": sem.argmax, "deviation": dev.argmax},
-        extras={"grad_sup_polar": gsup, "seminorm_Kh": sem.value},
-    )
-    rep.validate()
-    return rep
+        extras={"grad_sup_polar": gsup, "seminorm_Kh": sem.value})
 
 
 def default_h_max(nu: Charge, K: ConvexBody) -> float:
@@ -124,60 +139,27 @@ def lk_multiplicative_charge(nu: Charge, K: ConvexBody, C: Cone,
     memo, as is every seminorm_Kh sweep of seminorm_K: after
     lk_additive_charge at h on the same charge, K and C, include_h=[h]
     finds its sweep at h there."""
-    d = K.d
-    mu = volume_body_cone(K, C).value
     lhs = _density_sup(nu)
     gsup = _grad_sup(nu, K, C)
-    semK = seminorm_K(nu, K, h_max or default_h_max(nu, K), include_h=include_h)
-    rhs = (
-        ((d + 1) / mu) ** (1.0 / (d + 1))
-        * gsup ** (d / (d + 1))
-        * semK.value ** (1.0 / (d + 1))
-    )
-    rep = InequalityReport(
-        case="lk-multiplicative-charge",
-        d=d,
-        m=C.m,
-        h=semK.h_opt,
-        grid=nu.density.grid.key(),
-        lhs=lhs,
-        rhs_terms={"product": rhs},
-        tol=tol,
-        extras={
-            "grad_sup_polar": gsup,
-            "seminorm_K": semK.value,
-            "seminorm_K_h_opt": semK.h_opt,
-            "seminorm_K_gap": semK.gap,
-        },
-    )
-    rep.validate()
-    return rep
+    semK = seminorm_K(nu, K, default_h_max(nu, K) if h_max is None else h_max,
+                      include_h=include_h)
+    return _multiplicative_report(
+        "lk-multiplicative-charge", K.d, C.m, semK.h_opt, nu.density.grid.key(),
+        lhs, gsup, semK.value, volume_body_cone(K, C).value, tol,
+        extras={"grad_sup_polar": gsup, "seminorm_K": semK.value,
+                "seminorm_K_h_opt": semK.h_opt, "seminorm_K_gap": semK.gap})
 
 
 def nagy_inequality(f: GridField, K: ConvexBody, C: Cone, h: float,
                     tol: float = 1e-3) -> InequalityReport:
     """Nagy-type bound: sup|f| via its gradient and its L1 norm."""
     p = SteklovParams.create(K, C, h)
-    d = K.d
     lhs = f.sup_abs("value", cone=C).value
     gsup = grad_sup_polar(f, K, C)
     l1 = f.l1_norm()
-    rep = InequalityReport(
-        case="nagy",
-        d=d,
-        m=C.m,
-        h=h,
-        grid=f.grid.key(),
-        lhs=lhs,
-        rhs_terms={
-            "deviation": d * h / (d + 1) * gsup,
-            "norm": l1 * steklov_norm(p),
-        },
-        tol=tol,
-        extras={"l1_norm": l1, "grad_sup_polar": gsup},
-    )
-    rep.validate()
-    return rep
+    return _additive_report(
+        "nagy", K.d, C.m, h, f.grid.key(), lhs, gsup, l1, steklov_norm(p),
+        tol, extras={"l1_norm": l1, "grad_sup_polar": gsup})
 
 
 # -- mixed-derivative inequalities ----------------------------------------
@@ -215,46 +197,19 @@ def lk_additive_mixed(f: GridField, p: MixedParams,
     """Additive bound on the full mixed derivative, with the refined chain
     through the composed-difference operator."""
     lhs, gsup, fsup = _mixed_sups(f, p)
-    opnorm = mixed_operator_norm(p)
-    middle = mixed_deviation_sup(f, p) + opnorm * fsup
-    rep = InequalityReport(
-        case="lk-additive-mixed",
-        d=p.d,
-        m=p.m,
-        h=p.h,
-        grid=f.grid.key(),
-        lhs=lhs,
-        rhs_terms={
-            "deviation": p.h * p.d / (p.d + 1) * gsup,
-            "norm": opnorm * fsup,
-        },
-        middle=middle,
-        tol=tol,
-        extras={"f_sup": fsup, "mixed_grad_sup": gsup},
-    )
-    rep.validate()
-    return rep
+    return _additive_report(
+        "lk-additive-mixed", p.d, p.m, p.h, f.grid.key(), lhs, gsup, fsup,
+        mixed_operator_norm(p), tol, mixed_deviation_sup(f, p),
+        extras={"f_sup": fsup, "mixed_grad_sup": gsup})
 
 
 def lk_multiplicative_mixed(f: GridField, p: MixedParams,
                             tol: float = 1e-3) -> InequalityReport:
     lhs, gsup, fsup = _mixed_sups(f, p)
-    rhs = (2**p.m * (p.d + 1) * fsup) ** (1.0 / (p.d + 1)) * gsup ** (
-        p.d / (p.d + 1)
-    )
-    rep = InequalityReport(
-        case="lk-multiplicative-mixed",
-        d=p.d,
-        m=p.m,
-        h=p.h,
-        grid=f.grid.key(),
-        lhs=lhs,
-        rhs_terms={"product": rhs},
-        tol=tol,
-        extras={"f_sup": fsup, "mixed_grad_sup": gsup},
-    )
-    rep.validate()
-    return rep
+    return _multiplicative_report(
+        "lk-multiplicative-mixed", p.d, p.m, p.h, f.grid.key(), lhs, gsup,
+        fsup, 2.0 ** -p.m, tol, extras={"f_sup": fsup, "mixed_grad_sup": gsup},
+        joint=True)
 
 
 # -- extremal antiderivatives (box gauge) ---------------------------------

@@ -3,9 +3,11 @@
 On the class of charges with unit polar gradient bound: the modulus of
 continuity Omega(delta), the best bounded-operator approximation error E_N,
 and the optimal-recovery error (which equals Omega).  The mixed-derivative
-setting uses the same formulas with mu = 2^(d-m) absorbed into the sup-norm
-data term.  Numerics only cross-check attainment; the optimal operator is
-the window average at the delta-matched radius.
+setting (box, orthant R^m_+ x R^(d-m)) is the charge setting with data
+sup|f| and mu = mu(K∩C)/2^d = 2^-m: the charge of a window under f is a
+composed difference of 2^d values of f, so its h-seminorm is at most 2^d
+sup|f|.  Numerics only cross-check attainment; the optimal operator is the
+window average at the delta-matched radius.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ __all__ = [
 class ProblemSetting:
     """Charge setting (general K, C) or mixed setting (box + orthant).
 
-    Both constructors take mu(K∩C) from geometry.volume_body_cone."""
+    Both constructors take mu(K∩C) from geometry.volume_body_cone, and the
+    mixed one divides it by 2^d (module docstring): every closed form reads
+    mu alone, and kind picks only the operator."""
 
     kind: str  # "charge" | "mixed"
     d: int
@@ -61,7 +65,7 @@ class ProblemSetting:
     @classmethod
     def mixed(cls, d: int, m: int) -> "ProblemSetting":
         setting = cls.charge(ConvexBody.box(d), Cone.orthant(d, m))
-        return replace(setting, kind="mixed")
+        return replace(setting, kind="mixed", mu=setting.mu / 2**d)
 
 
 def omega(setting: ProblemSetting, delta: float) -> float:
@@ -69,9 +73,7 @@ def omega(setting: ProblemSetting, delta: float) -> float:
     if delta <= 0:
         raise GeometryError("delta must be positive")
     d = setting.d
-    if setting.kind == "charge":
-        return ((d + 1) * delta / setting.mu) ** (1.0 / (d + 1))
-    return (2**setting.m * (d + 1) * delta) ** (1.0 / (d + 1))
+    return ((d + 1) * delta / setting.mu) ** (1.0 / (d + 1))
 
 
 def stechkin_error(setting: ProblemSetting, N: float) -> float:
@@ -91,10 +93,7 @@ def optimal_h_for_N(setting: ProblemSetting, N: float) -> float:
     """Window radius at which the operator norm equals N."""
     if N <= 0:
         raise GeometryError("N must be positive")
-    d = setting.d
-    if setting.kind == "charge":
-        return (1.0 / (N * setting.mu)) ** (1.0 / d)
-    return (2**setting.m / N) ** (1.0 / d)
+    return (1.0 / (N * setting.mu)) ** (1.0 / setting.d)
 
 
 def sandwich_check(setting: ProblemSetting, deltas, rel_tol: float = 1e-6):

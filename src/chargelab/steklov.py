@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charges import Charge
-from .geometry import ConvexBody, Cone, GeometryError, volume_body_cone
+from .geometry import (ConvexBody, Cone, GeometryError, _check_radius,
+                       volume_body_cone)
 from .grids import GridField, GridSpec
 
 __all__ = [
@@ -51,8 +52,7 @@ class SteklovParams:
 
     @classmethod
     def create(cls, K: ConvexBody, C: Cone, h: float) -> "SteklovParams":
-        if h <= 0:
-            raise GeometryError("h must be positive")
+        _check_radius(h)
         return cls(K=K, C=C, h=float(h), mu=volume_body_cone(K, C).value)
 
     @property
@@ -147,8 +147,7 @@ class MixedParams:
     def __post_init__(self):
         if not (0 <= self.m <= self.d):
             raise GeometryError("need 0 <= m <= d")
-        if self.h <= 0:
-            raise GeometryError("h must be positive")
+        _check_radius(self.h)
 
     @property
     def body(self) -> ConvexBody:

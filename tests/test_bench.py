@@ -1,8 +1,10 @@
-"""Tests of the benchmark scripts' shared front end and bookkeeping."""
+"""Tests of the benchmark scripts' shared front end and bookkeeping, and of
+the chargelab names that lkbench's tracer wraps."""
 
 import argparse
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,3 +121,44 @@ def test_bench_sharpness_writes_the_committed_layout(tmp_path):
     want = committed["sharpness"]["after"]
     assert [sorted(r) for r in rows] == [sorted(r) for r in want]
     assert [r["case"] for r in rows] == [r["case"] for r in want]
+
+
+TRACED_OP = """
+import subprocess
+import sys
+sys.path[:0] = [{src!r}, {lkbench!r}]
+import chargelab
+import tracing
+
+tr = tracing.Tracer()
+tracing.install(tr)  # raises when a function it wraps is gone
+from chargelab import (Cone, ConvexBody, GridSpec, extremal_charge,
+                       lk_additive_charge, lk_multiplicative_charge)
+
+K, C = ConvexBody.box(1), Cone.orthant(1, 0)
+grid = GridSpec.for_cone(1, 0, 1.0, 64, margin=0.25)
+
+
+def op():
+    nu = extremal_charge(K, C, 1.0, grid)
+    return (lk_additive_charge(nu, K, C, 1.0),
+            lk_multiplicative_charge(nu, K, C, h_max=2.5, include_h=[1.0]))
+
+
+reports = tr.run_op(0, op)
+assert all(rep.equality for rep in reports), reports
+spans = {{"op", "windows.kernel", "windows.prefix", "charges.seminorm_K",
+          "charges.seminorm_Kh", "charges.overlap", "steklov.deviation",
+          "grids.sweep", "grids.callback", "geometry.gauge"}}
+assert spans <= set(tr.names), sorted(spans - set(tr.names))
+"""
+
+
+def test_lkbench_tracer_wraps_chargelab():
+    # lkbench's tracer wraps chargelab's functions and methods by name and
+    # calls some of them (Charge._fast_path, window_value's positional
+    # method) inside a traced operation; only traced runs exercise this
+    code = TRACED_OP.format(src=str(ROOT / "src"), lkbench=str(ROOT / "lkbench"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -664,3 +664,32 @@ class TestFamilies:
             e[k] = eps
             fd = (f.value_fn(pts + e) - f.value_fn(pts - e)) / (2 * eps)
             np.testing.assert_allclose(G[:, k], fd, atol=1e-6)
+
+
+# every entry point that takes a window radius, on the d = 2 box extremal
+# charge at grid 32; NaN and inf used to pass each `h <= 0` test
+def _radius_entry_points():
+    from chargelab.inequalities import lk_multiplicative_charge
+    from chargelab.steklov import MixedParams, SteklovParams
+
+    K, C, grid = box_setting(2, 0, 1.0, 32)
+    nu = extremal_charge(K, C, 1.0, grid)
+    return {
+        "window_value": lambda h: nu.window_value(K, np.zeros(2), h),
+        "window_values_all": lambda h: nu.window_values_all(K, h),
+        "fractional_values_all": lambda h: nu.fractional_values_all(K, h),
+        "seminorm_Kh": lambda h: seminorm_Kh(nu, K, h),
+        "seminorm_K": lambda h: seminorm_K(nu, K, h),
+        "extremal_density": lambda h: extremal_density(K, C, h, grid),
+        "SteklovParams.create": lambda h: SteklovParams.create(K, C, h),
+        "MixedParams": lambda h: MixedParams(d=2, m=1, h=h),
+        "lk_multiplicative_charge": lambda h: lk_multiplicative_charge(
+            nu, K, C, h_max=h),
+    }
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", list(_radius_entry_points()))
+def test_window_radius_must_be_positive_and_finite(entry, h):
+    with pytest.raises(GeometryError, match="must be positive and finite"):
+        _radius_entry_points()[entry](h)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chargelab.cli import main
+from chargelab.config import ConfigError, validate
 from chargelab.report import CSV_COLUMNS, InequalityReport, format_float, write_csv
 from chargelab.svgplot import render_plot
 
@@ -307,6 +308,37 @@ def test_recover_named_grid_is_the_smallest_that_runs(tmp_path, capsys, d, need)
     assert run(argv + ["--grid", need - 1]) == 2
     assert f"at least {need} (now {need - 1})" in capsys.readouterr().err
     assert run(argv + ["--grid", need]) in (0, 1)
+
+
+# (argv, the largest grid at its d): default grids far over the budget of
+# 2^24 cells, rejected before any computation with that largest grid named
+@pytest.mark.parametrize("argv, largest", [
+    (["verify", "--case", "extremal-charge", "--d", 5], 27),  # 128^5 cells
+    (["stechkin-curve", "--d", 5], 27),  # the unset grid's default, 128
+    (["recover", "--d", 3], 256),  # 512^3 cells
+], ids=lambda v: " ".join(map(str, v)) if isinstance(v, list) else str(v))
+def test_grid_over_the_cell_budget_exit_2(tmp_path, capsys, argv, largest):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    assert f"at most {largest} at d = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, d, largest", [
+    ("verify", 1, 2**24), ("verify", 2, 4096), ("stechkin-curve", 3, 256),
+    ("recover", 4, 64), ("verify", 5, 27),
+])
+def test_cell_budget_admits_the_largest_grid(command, d, largest):
+    assert validate(command, {"d": d, "grid": largest})["grid"] == largest
+    with pytest.raises(ConfigError, match=f"at most {largest} at d = {d} "):
+        validate(command, {"d": d, "grid": largest + 1})
+
+
+def test_recover_named_grid_over_the_cell_budget(tmp_path, capsys):
+    # delta 1e-300 needs a grid of about 1e150 cells at d = 1
+    assert run(["recover", "--deltas", "1e-300", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "over the cell budget (the largest grid at d = 1 is 16777216)" in err
 
 
 @pytest.mark.parametrize("argv", [

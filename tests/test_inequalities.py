@@ -26,7 +26,7 @@ from chargelab.inequalities import (
     sharpness_search,
     split_point,
 )
-from chargelab.steklov import MixedParams
+from chargelab.steklov import MixedParams, SteklovParams, deviation_sup
 
 
 def box_case(d, m, h, n=96):
@@ -112,6 +112,68 @@ class TestNagy:
             f = make_density(name, grid)
             rep = nagy_inequality(f, K, C, 0.8)
             assert rep.slack >= -1e-6
+
+
+class TestReportFormulasBitwise:
+    """Each report's rhs_terms and middle equal, bit for bit, the bound
+    written out with the operator norm 1/(h^d mu) of its setting."""
+
+    def test_additive_charge(self):
+        d, m, h = 2, 1, 0.7
+        K, C, grid = box_case(d, m, h, 48)
+        nu = extremal_charge(K, C, h, grid)
+        rep = lk_additive_charge(nu, K, C, h)
+        gsup, sem = rep.extras["grad_sup_polar"], rep.extras["seminorm_Kh"]
+        N = 1.0 / (h**d * 2.0 ** (d - m))
+        dev = deviation_sup(nu, SteklovParams.create(K, C, h)).value
+        assert rep.rhs_terms == {"deviation": d * h / (d + 1) * gsup,
+                                 "norm": sem * N}
+        assert rep.middle == dev + N * sem
+
+    def test_multiplicative_charge(self):
+        d, m, h = 2, 1, 0.7
+        K, C, grid = box_case(d, m, h, 48)
+        nu = extremal_charge(K, C, h, grid)
+        rep = lk_multiplicative_charge(nu, K, C, h_max=2.5 * h, include_h=[h])
+        gsup, semK = rep.extras["grad_sup_polar"], rep.extras["seminorm_K"]
+        mu = 2.0 ** (d - m)
+        assert rep.rhs_terms == {"product": ((d + 1) / mu) ** (1.0 / (d + 1))
+                                 * gsup ** (d / (d + 1))
+                                 * semK ** (1.0 / (d + 1))}
+        assert rep.middle is None
+
+    def test_nagy(self):
+        d, m, h = 2, 0, 0.7
+        K, C, grid = box_case(d, m, h, 48)
+        rep = nagy_inequality(extremal_density(K, C, h, grid), K, C, h)
+        gsup, l1 = rep.extras["grad_sup_polar"], rep.extras["l1_norm"]
+        assert rep.rhs_terms == {"deviation": d * h / (d + 1) * gsup,
+                                 "norm": l1 * (1.0 / (h**d * 2.0**d))}
+        assert rep.middle is None
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_additive_mixed(self, m):
+        d, h = 2, 0.6
+        p = MixedParams(d=d, m=m, h=h)
+        build = extremal_mixed_m0 if m == 0 else extremal_mixed_m1
+        f = build(h, d, GridSpec.for_cone(d, m, 1.5 * h, 32))
+        rep = lk_additive_mixed(f, p)
+        gsup, fsup = rep.extras["mixed_grad_sup"], rep.extras["f_sup"]
+        assert rep.rhs_terms == {"deviation": h * d / (d + 1) * gsup,
+                                 "norm": 2**m / h**d * fsup}
+        assert rep.middle == mixed_deviation_sup(f, p) + 2**m / h**d * fsup
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_multiplicative_mixed(self, m):
+        d, h = 2, 0.6
+        p = MixedParams(d=d, m=m, h=h)
+        build = extremal_mixed_m0 if m == 0 else extremal_mixed_m1
+        f = build(h, d, GridSpec.for_cone(d, m, 1.5 * h, 32))
+        rep = lk_multiplicative_mixed(f, p)
+        gsup, fsup = rep.extras["mixed_grad_sup"], rep.extras["f_sup"]
+        assert rep.rhs_terms == {"product": (2**m * (d + 1) * fsup)
+                                 ** (1.0 / (d + 1)) * gsup ** (d / (d + 1))}
+        assert rep.middle is None
 
 
 def _bits(x):

@@ -71,6 +71,26 @@ class TestClosedForms:
             stechkin_error(s, -1.0)
 
 
+class TestMixedClosedFormsBitwise:
+    """The mixed setting is the charge setting at mu = mu(K∩C)/2^d = 2^-m:
+    its closed forms equal the mixed formulas bit for bit."""
+
+    DELTAS = [1e-3, 0.01, 0.37, 1.0, 2.5, 10.0, 1e3]
+    NS = [1e-3, 0.05, 0.3, 1.0, 2.0, 20.0, 1e3]
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3)
+                                     for m in range(d + 1)])
+    def test_closed_forms(self, d, m):
+        s = ProblemSetting.mixed(d, m)
+        assert s.mu == 2.0 ** -m
+        for delta in self.DELTAS:
+            assert omega(s, delta) == (2**m * (d + 1) * delta) ** (1.0 / (d + 1))
+        for N in self.NS:
+            h = (2**m / N) ** (1.0 / d)
+            assert optimal_h_for_N(s, N) == h
+            assert stechkin_error(s, N) == d / (d + 1) * h
+
+
 class TestSandwich:
     @pytest.mark.parametrize("setting", [charge_setting(1, 0),
                                          charge_setting(2, 1),
