@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,13 +144,8 @@ def _verify_reports(cfg: dict):
         elif case == "corrupted-extremal":
             grid = _charge_grid(K, C.m, h, n)
             honest = extremal_density(K, C, h, grid)
-            corrupted = GridField(
-                grid=grid,
-                values=1.5 * honest.values,
-                value_fn=lambda pts, _f=honest.value_fn: 1.5 * _f(pts),
-                grad_fn=honest.grad_fn,  # understates the true gradient
-                sup_candidates=list(honest.sup_candidates),
-            )
+            # the honest gradient understates the true one
+            corrupted = replace(honest.scaled(1.5), grad_fn=honest.grad_fn)
             nu = Charge(corrupted, C)
             reports.append(lk_additive_charge(nu, K, C, h, tol))
         elif case == "nagy-extremal":
@@ -385,73 +381,57 @@ def cmd_sharpness_search(cfg: dict, outdir: Path) -> int:
 # -- entry point -----------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--config", type=str, default=None)
-    sp.add_argument("--out", type=str, default="out")
+# subcommand -> (handler, help, the config keys it takes as flags); each
+# flag takes its key's type in config.SCHEMAS (_flag_type)
+_SUBCOMMANDS = {
+    "verify": (cmd_verify, "run a named inequality case",
+               ("case", "d", "m", "h", "tol", "grid")),
+    "stechkin-curve": (cmd_stechkin_curve, "closed-form curves + attained points",
+                       ("setting", "d", "m", "grid")),
+    "recover": (cmd_recover, "recovery-from-noisy-data demo",
+                ("d", "m", "deltas", "seed", "grid")),
+    "sharpness-search": (cmd_sharpness_search, "exploratory m >= 2 search",
+                         ("d", "m", "h", "budget", "seed")),
+}
+
+_FLAG_HELP = {"deltas": "comma-separated delta grid"}
+
+
+def _flag_type(typ) -> dict:
+    """add_argument keywords for a config key of schema type typ: a key that
+    takes a number or a list of them takes one float per flag, a list key
+    one comma-separated string (main splits it), any other key typ."""
+    if isinstance(typ, tuple):
+        return {"type": float, "action": "append"}
+    return {"type": str if typ is list else typ}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chargelab")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("verify", help="run a named inequality case")
-    _add_common(sp)
-    sp.add_argument("--case", type=str, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--h", type=float, action="append", default=None)
-    sp.add_argument("--tol", type=float, default=None)
-
-    sp = sub.add_parser("stechkin-curve", help="closed-form curves + attained points")
-    _add_common(sp)
-    sp.add_argument("--setting", type=str, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-
-    sp = sub.add_parser("recover", help="recovery-from-noisy-data demo")
-    _add_common(sp)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--deltas", type=str, default=None,
-                    help="comma-separated delta grid")
-
-    sp = sub.add_parser("sharpness-search", help="exploratory m >= 2 search")
-    _add_common(sp)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--budget", type=int, default=None)
-    # --seed and --grid only where the command's schema has the key
-    for command, sp in sub.choices.items():
-        for key in ("seed", "grid"):
-            if key in SCHEMAS[command]:
-                sp.add_argument(f"--{key}", type=int, default=None)
+    for command, (_, text, keys) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument("--config", type=str, default=None)
+        sp.add_argument("--out", type=str, default="out")
+        for key in keys:
+            sp.add_argument(f"--{key}", default=None, help=_FLAG_HELP.get(key),
+                            **_flag_type(SCHEMAS[command][key][0]))
     return ap
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "stechkin-curve": cmd_stechkin_curve,
-    "recover": cmd_recover,
-    "sharpness-search": cmd_sharpness_search,
-}
-
-_OVERRIDE_KEYS = ["case", "d", "m", "h", "tol", "seed", "grid", "setting",
-                  "deltas", "budget"]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, keys = _SUBCOMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
-        for key in _OVERRIDE_KEYS:
-            val = getattr(args, key, None)
+        for key in keys:
+            val = getattr(args, key)
             if val is not None:
-                if key == "deltas":
+                if SCHEMAS[args.command][key][0] is list:
                     try:
                         val = [float(t) for t in val.split(",")]
                     except ValueError as e:
-                        raise ConfigError(f"--deltas {val!r}: {e}") from e
+                        raise ConfigError(f"--{key} {val!r}: {e}") from e
                 cfg[key] = val
         cfg = validate(args.command, cfg)
     except ConfigError as e:
@@ -460,7 +440,7 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](cfg, outdir)
+        return handler(cfg, outdir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

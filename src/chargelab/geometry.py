@@ -44,8 +44,9 @@ def _as_vector(x, d: int) -> np.ndarray:
 
 
 def _check_radius(h, name: str = "h") -> None:
-    """Raise GeometryError unless the window radius h is in (0, inf); NaN
-    fails too."""
+    """Raise GeometryError unless h is in (0, inf); NaN fails too.  Every
+    positive number the API takes passes here: window radii, data errors
+    delta and operator norms N."""
     if not 0 < h < math.inf:
         raise GeometryError(f"{name} must be positive and finite, got {h!r}")
 
@@ -495,13 +496,12 @@ def layer_cake_closed_form(K: ConvexBody, C: Cone, h: float, mu_KC: float) -> fl
 def layer_cake_integral(K: ConvexBody, C: Cone, h: float, *,
                         n: int = 256) -> float:
     """Integral of |u|_K over hK∩C by the cell-center rule on an n^d lattice
-    over the bounding box of hK."""
+    over the bounding box of hK; 0 at h = 0, else h must pass _check_radius."""
     if n < 1:
         raise GeometryError("need n >= 1 lattice cells per axis")
-    if h < 0:
-        raise GeometryError("h must be nonnegative")
     if h == 0:
         return 0.0
+    _check_radius(h)
     radii = K.bounding_radii()
     axes = [h * (-r + (np.arange(n) + 0.5) * (2 * r / n)) for r in radii]
     cellvol = float(np.prod(2 * radii / n)) * h**K.d

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Cone, GeometryError, _lattice_slabs
+from .geometry import Cone, GeometryError, _as_vector, _lattice_slabs
 
 __all__ = ["GridSpec", "GridField", "SupResult"]
 
@@ -28,20 +28,18 @@ call and keeps neither the array nor a view of it."""
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned uniform grid; samples live at cell centers."""
+    """Axis-aligned uniform grid; samples live at cell centers.  lo and hi
+    pass geometry._as_vector (finite vectors of dimension len(shape))."""
 
     lo: np.ndarray
     hi: np.ndarray
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        if lo.shape != hi.shape or lo.shape != (len(self.shape),):
-            raise GeometryError("inconsistent grid bounds/shape")
+        shape = tuple(int(n) for n in self.shape)
+        lo, hi = _as_vector(self.lo, len(shape)), _as_vector(self.hi, len(shape))
+        for name, val in (("lo", lo), ("hi", hi), ("shape", shape)):
+            object.__setattr__(self, name, val)
         if np.any(hi <= lo):
             raise GeometryError("grid bounds must satisfy hi > lo")
         if any(n < 2 for n in self.shape):

@@ -26,7 +26,7 @@ from .charges import (
     seminorm_K,
     seminorm_Kh,
 )
-from .geometry import ConvexBody, Cone, GeometryError, volume_body_cone
+from .geometry import ConvexBody, Cone, GeometryError, _check_radius, volume_body_cone
 from .golden import golden_min
 from .grids import GridField, GridSpec
 from .report import InequalityReport
@@ -82,16 +82,21 @@ def _additive_report(case: str, d: int, m: int, h: float, grid: str,
     return rep
 
 
+def _product(d: int, mu: float, gsup: float, data: float, joint: bool) -> float:
+    """((d+1)/mu)^(1/(d+1)) gsup^(d/(d+1)) data^(1/(d+1)), the least additive
+    bound over h; joint powers (d+1)/mu * data in one step."""
+    e = 1.0 / (d + 1)
+    return (((d + 1) / mu * data) ** e * gsup ** (d / (d + 1)) if joint else
+            ((d + 1) / mu) ** e * gsup ** (d / (d + 1)) * data ** e)
+
+
 def _multiplicative_report(case: str, d: int, m: int, h: float, grid: str,
                            lhs: float, gsup: float, data: float, mu: float,
                            tol: float, extras: dict,
                            joint: bool = False) -> InequalityReport:
-    """lhs <= ((d+1)/mu)^(1/(d+1)) gsup^(d/(d+1)) data^(1/(d+1)), the least
-    additive bound over h; joint powers (d+1)/mu * data in one step."""
-    e = 1.0 / (d + 1)
-    rhs = (((d + 1) / mu * data) ** e * gsup ** (d / (d + 1)) if joint else
-           ((d + 1) / mu) ** e * gsup ** (d / (d + 1)) * data ** e)
-    rep = InequalityReport(case, d, m, h, grid, lhs, {"product": rhs},
+    """lhs <= _product(d, mu, gsup, data, joint)."""
+    rep = InequalityReport(case, d, m, h, grid, lhs,
+                           {"product": _product(d, mu, gsup, data, joint)},
                            tol=tol, extras=extras)
     rep.validate()
     return rep
@@ -325,9 +330,11 @@ def split_point(h: float, d: int) -> float:
     F rises (F' = (d+1)(1 - x^d) > 0) from -d/2 to d/2 and is concave, so
     Newton's method from 0 climbs to the root.  One more step in exact
     rational arithmetic, rounded once at scale h, makes a correctly rounded.
+    h must pass geometry._check_radius (positive and finite).
     """
-    if h <= 0 or d < 1:
-        raise GeometryError("need h > 0 and d >= 1")
+    _check_radius(h)
+    if d < 1:
+        raise GeometryError("need d >= 1")
     x = 0.0
     while True:
         step = (d / 2 - (d + 1) * x + x ** (d + 1)) / ((d + 1) * (1 - x**d))
@@ -385,15 +392,17 @@ def sharpness_search(d: int, m: int, h: float = 1.0, budget: int = 40,
 
     The ratio does not depend on h: g_s at scale h is h^(d+1) times g_{s/h}
     at h = 1.  So the search runs at h = 1, where sup|g_s| neither underflows
-    nor overflows, and returns h times the best shifts.
+    nor overflows, and returns h times the best shifts.  MixedParams checks
+    (d, m, h), h through geometry._check_radius; the search needs m >= 1.
     """
+    MixedParams(d=d, m=m, h=h)
     if m < 1:
         raise GeometryError("search applies to shifted constructions, m >= 1")
     rng = np.random.default_rng(seed)
 
     def ratio_of(shifts):
         sup_g = _shifted_sup(1.0, d, m, shifts)
-        return 1.0 / (2**m * (d + 1) * sup_g) ** (1.0 / (d + 1))
+        return 1.0 / _product(d, 2.0 ** -m, 1.0, sup_g, joint=True)
 
     best_s = np.full(m, 0.5)
     best_r = ratio_of(best_s)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charges import Charge
-from .geometry import ConvexBody, Cone, GeometryError, volume_body_cone
+from .geometry import ConvexBody, Cone, _check_radius, volume_body_cone
 from .golden import golden_min
 from .grids import GridField
 from .steklov import (
@@ -69,9 +69,9 @@ class ProblemSetting:
 
 
 def omega(setting: ProblemSetting, delta: float) -> float:
-    """Modulus of continuity of the derivative operator on the unit class."""
-    if delta <= 0:
-        raise GeometryError("delta must be positive")
+    """Modulus of continuity of the derivative operator on the unit class;
+    delta must pass geometry._check_radius (positive and finite)."""
+    _check_radius(delta, "delta")
     d = setting.d
     return ((d + 1) * delta / setting.mu) ** (1.0 / (d + 1))
 
@@ -90,49 +90,46 @@ def optimal_h_for_delta(setting: ProblemSetting, delta: float) -> float:
 
 
 def optimal_h_for_N(setting: ProblemSetting, N: float) -> float:
-    """Window radius at which the operator norm equals N."""
-    if N <= 0:
-        raise GeometryError("N must be positive")
+    """Window radius at which the operator norm equals N (positive and
+    finite, geometry._check_radius)."""
+    _check_radius(N, "N")
     return (1.0 / (N * setting.mu)) ** (1.0 / setting.d)
 
 
-def sandwich_check(setting: ProblemSetting, deltas, rel_tol: float = 1e-6):
+_SANDWICH_REL_TOL = 1e-6
+
+
+def sandwich_check(setting: ProblemSetting, deltas):
     """For each delta: inf_N {E_N + N*delta} vs omega(delta).
 
     The infimum is taken over 64 log-spaced N in [1e-3/mu, 1e3/mu] followed
     by 80 golden-section steps between the neighbours of the best.  Returns
-    (rows, ok) where each row records both sides.
+    (rows, ok) where each row records both sides, and ok holds when every
+    relative error is within _SANDWICH_REL_TOL.
     """
+    grid = np.linspace(math.log(1e-3 / setting.mu), math.log(1e3 / setting.mu), 64)
     rows = []
-    ok = True
     for delta in deltas:
-        if delta <= 0:
-            raise GeometryError("delta grid must be positive")
+        om = omega(setting, delta)
 
         def bound(logN, _delta=delta):
             return stechkin_error(setting, math.exp(logN)) + math.exp(logN) * _delta
 
-        lo = math.log(1e-3 / setting.mu)
-        hi = math.log(1e3 / setting.mu)
-        grid = np.linspace(lo, hi, 64)
         vals = [bound(t) for t in grid]
         j = int(np.argmin(vals))
         a = grid[max(j - 1, 0)]
         b = grid[min(j + 1, len(grid) - 1)]
         t, best = golden_min(bound, a, b, iters=80)
-        om = omega(setting, delta)
-        rel = abs(best - om) / om
         rows.append(
             {
                 "delta": float(delta),
                 "omega": om,
                 "inf_EN_plus_Ndelta": best,
                 "argmin_N": math.exp(t),
-                "rel_err": rel,
+                "rel_err": abs(best - om) / om,
             }
         )
-        ok = ok and rel <= rel_tol
-    return rows, ok
+    return rows, all(r["rel_err"] <= _SANDWICH_REL_TOL for r in rows)
 
 
 @dataclass
@@ -148,8 +145,6 @@ def recover_derivative(nu_noisy: Charge, delta: float,
                        setting: ProblemSetting) -> RecoveryResult:
     """Recover the density from delta-accurate data by the optimal window
     average; the guaranteed worst-case error is omega(delta)."""
-    if delta <= 0:
-        raise GeometryError("delta must be positive")
     h = optimal_h_for_delta(setting, delta)
     bound = omega(setting, delta)
     if setting.kind == "charge":

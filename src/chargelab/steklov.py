@@ -138,15 +138,16 @@ def _steps_for(grid: GridSpec, axis: int, h: float) -> int:
 class MixedParams:
     """Box body (-1,1)^d with orthant cone R^m_+ x R^(d-m) and step h; the
     composed-difference operator it defines has norm 2^m/h^d
-    (mixed_operator_norm)."""
+    (mixed_operator_norm).  Needs d >= 1 and 0 <= m <= d, and h passes
+    geometry._check_radius."""
 
     d: int
     m: int
     h: float
 
     def __post_init__(self):
-        if not (0 <= self.m <= self.d):
-            raise GeometryError("need 0 <= m <= d")
+        if not (1 <= self.d and 0 <= self.m <= self.d):
+            raise GeometryError("need d >= 1 and 0 <= m <= d")
         _check_radius(self.h)
 
     @property

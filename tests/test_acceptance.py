@@ -195,7 +195,7 @@ def test_criterion_06_modulus_and_stechkin_numbers():
     assert omega(s, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert stechkin_error(s, 1.0) == pytest.approx(0.25, abs=1e-15)
     deltas = np.geomspace(1e-2, 1e2, 16)
-    rows, ok = sandwich_check(s, deltas, rel_tol=1e-6)
+    rows, ok = sandwich_check(s, deltas)
     assert ok
     worst = max(r["rel_err"] for r in rows)
     report(6, f"Omega(1)=1, E_1=1/4; sandwich worst rel err {worst:.2e}")

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chargelab.cli import main
+from chargelab.cli import build_parser, main
 from chargelab.config import ConfigError, validate
 from chargelab.report import CSV_COLUMNS, InequalityReport, format_float, write_csv
 from chargelab.svgplot import render_plot
@@ -474,3 +474,41 @@ class TestOtherCommands:
             capture_output=True, text=True,
         )
         assert out.returncode == 0
+
+
+# one argv per subcommand that sets every flag it has, with the parsed
+# values; each flag takes the type of its config key in config.SCHEMAS
+PARSED_FLAGS = {
+    "verify": (["--case", "zero", "--d", "3", "--m", "1", "--h", "1",
+                "--h", "2", "--tol", "0.01", "--grid", "16"],
+               {"case": "zero", "d": 3, "m": 1, "h": [1.0, 2.0],
+                "tol": 0.01, "grid": 16}),
+    "stechkin-curve": (["--setting", "mixed", "--d", "2", "--m", "1",
+                        "--grid", "32"],
+                       {"setting": "mixed", "d": 2, "m": 1, "grid": 32}),
+    "recover": (["--d", "2", "--m", "1", "--deltas", "0.1,1", "--seed", "3",
+                 "--grid", "64"],
+                {"d": 2, "m": 1, "deltas": "0.1,1", "seed": 3, "grid": 64}),
+    "sharpness-search": (["--d", "3", "--m", "2", "--h", "0.5",
+                          "--budget", "4", "--seed", "1"],
+                         {"d": 3, "m": 2, "h": 0.5, "budget": 4, "seed": 1}),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSED_FLAGS))
+def test_parser_flags_take_their_config_types(command):
+    argv, want = PARSED_FLAGS[command]
+    args = vars(build_parser().parse_args(
+        [command, "--config", "c.yaml", "--out", "o", *argv]))
+    assert args.pop("command") == command
+    assert (args.pop("config"), args.pop("out")) == ("c.yaml", "o")
+    assert repr(args) == repr(want)  # repr tells 1 from 1.0
+
+
+@pytest.mark.parametrize("argv", [["stechkin-curve", "--tol", "1"],
+                                  ["verify", "--seed", "1"],
+                                  ["verify", "--d", "1.5"]])
+def test_parser_rejects_foreign_and_mistyped_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2

@@ -99,7 +99,7 @@ class TestSandwich:
                              ids=["d1", "d2m1", "mix21", "mix30"])
     def test_infimum_matches_omega(self, setting):
         deltas = np.geomspace(1e-2, 1e1, 10)
-        rows, ok = sandwich_check(setting, deltas, rel_tol=1e-6)
+        rows, ok = sandwich_check(setting, deltas)
         assert ok
         for r in rows:
             assert r["rel_err"] <= 1e-6
@@ -241,3 +241,45 @@ class TestRecovery:
         res = recover_derivative(nu, 0.6**3 / 6, s)  # h = 0.6: 3 and 2 cells
         assert res.h == pytest.approx(0.6)
         assert res.valid.any() and np.all(np.isfinite(res.estimate[res.valid]))
+
+
+# every entry point that takes a positive number (delta, N or h) on the d = 2
+# box with the orthant cone; each used to let NaN or inf through, or raised
+# ValueError, OverflowError or nothing.  layer_cake_integral is 0.0 at h = 0
+# (tests/test_geometry.py), so that case is left out here.
+def _input_check_cases():
+    from chargelab.geometry import layer_cake_integral
+    from chargelab.inequalities import sharpness_search, split_point
+    from chargelab.steklov import MixedParams
+
+    s = charge_setting(2, 2)
+    nu = extremal_charge(s.K, s.C, 1.0, GridSpec.for_cone(2, 2, 1.25, 8))
+    numbers = {
+        "omega": lambda x: omega(s, x),
+        "stechkin_error": lambda x: stechkin_error(s, x),
+        "optimal_h_for_N": lambda x: optimal_h_for_N(s, x),
+        "sandwich_check": lambda x: sandwich_check(s, [1.0, x]),
+        "recover_derivative": lambda x: recover_derivative(nu, x, s),
+        "split_point": lambda x: split_point(x, 2),
+        "sharpness_search": lambda x: sharpness_search(2, 2, x),
+        "layer_cake_integral": lambda x: layer_cake_integral(s.K, s.C, x),
+    }
+    cases = {f"{name}({x})": (lambda f=f, x=x: f(x))
+             for name, f in numbers.items()
+             for x in (math.nan, math.inf, 0.0, -1.0)
+             if (name, x) != ("layer_cake_integral", 0.0)}
+    cases.update({
+        "GridSpec(lo=[nan, 0])": lambda: GridSpec([math.nan, 0.0], [1.0, 1.0],
+                                                  (4, 4)),
+        "GridSpec(hi=[inf])": lambda: GridSpec([0.0], [math.inf], (4,)),
+        "sharpness_search(d=2, m=3)": lambda: sharpness_search(2, 3),
+        "sharpness_search(d=0, m=1)": lambda: sharpness_search(0, 1),
+        "MixedParams(d=0, m=0)": lambda: MixedParams(d=0, m=0, h=1.0),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_input_check_cases()))
+def test_entry_points_reject_invalid_numbers(case):
+    with pytest.raises(GeometryError):
+        _input_check_cases()[case]()
